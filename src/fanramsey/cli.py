@@ -12,17 +12,15 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
-from typing import Any
 
 from .bigraphic import DegreePairSpec, IntervalRealizationParams, is_bigraphic, \
     realize_bigraphic, realize_interval
 from .constructions import chromatic_lower, dirac_threshold, star_fan_lower, \
     star_fan_lower_special, turan_lower
-from .errors import ParseError, SizeGuardError, UnsupportedRangeError
+from .errors import ParseError, UnsupportedRangeError
 from .fans import find_fan, high_degree_fan
 from .graphs import EDGELIST, GRAPH6, Graph, TwoColoring, read_coloring, \
-    read_graph, write_coloring, write_graph
+    read_graph, write_graph
 from .matching import edmonds_gallai
 from .ramsey import brute_force_ramsey, fan_ramsey_bounds, star_fan_formula, \
     verify_fan_fan_witness, verify_star_fan_witness
@@ -30,22 +28,8 @@ from .ramsey import brute_force_ramsey, fan_ramsey_bounds, star_fan_formula, \
 DEFAULT_SEED = 2024
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters for one subcommand invocation."""
-
-    subcommand: str
-    params: dict[str, Any] = field(default_factory=dict)
-    input_path: str | None = None
-    output_path: str | None = None
-    fmt: str = EDGELIST
-    as_json: bool = False
-    seed: int = DEFAULT_SEED
-    workers: int = 1
-
-
-def _emit(cfg: RunConfig, payload: dict, lines: list[str]) -> None:
-    if cfg.as_json:
+def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:
@@ -79,87 +63,76 @@ def conditioned_coloring(rng: random.Random, n: int) -> TwoColoring:
     return TwoColoring(big_n, Graph(big_n, red_edges))
 
 
-def cmd_construct(cfg: RunConfig) -> int:
-    kind = cfg.params["kind"]
-    if kind == "star-fan":
-        coloring, params = star_fan_lower(cfg.params["m"], cfg.params["n"])
-        payload = {"kind": kind, "params": params.to_json_dict(),
-                   "bound_implied": f"R(K_{{1,{params.m}}}, F_{params.n}) "
-                                    f">= {params.N + 1}"}
-        lines = [f"star-fan coloring on N = {params.N}",
-                 f"a={params.a} b={params.b} sigma={params.sigma}",
-                 payload["bound_implied"]]
-    elif kind == "star-fan-special":
-        coloring, params = star_fan_lower_special(cfg.params["n"])
-        payload = {"kind": kind, "params": params.to_json_dict(),
-                   "bound_implied": f"R(K_{{1,{params.m}}}, F_{params.n}) "
-                                    f">= {params.N + 1}"}
-        lines = [f"special star-fan coloring on N = {params.N}",
-                 f"a={params.a} b={params.b} sigma={params.sigma}",
-                 payload["bound_implied"]]
-    elif kind == "chromatic":
-        n = cfg.params["n"]
-        coloring = chromatic_lower(n)
-        payload = {"kind": kind, "N": coloring.n,
-                   "bound_implied": f"R(F_{n}) >= {coloring.n + 1}"}
-        lines = [f"chromatic coloring on N = {coloring.n}",
-                 payload["bound_implied"]]
+def cmd_construct(args: argparse.Namespace) -> int:
+    if args.kind == "turan":
+        graph = turan_lower(args.n, args.k)
+        payload = {"kind": args.kind, "n": graph.n, "edges": graph.edge_count(),
+                   "fan_free": args.k}
+        lines = [f"F_{args.k}-free graph on {graph.n} vertices with "
+                 f"{graph.edge_count()} edges"]
+    elif args.kind == "chromatic":
+        graph = chromatic_lower(args.n).red
+        payload = {"kind": args.kind, "N": graph.n,
+                   "bound_implied": f"R(F_{args.n}) >= {graph.n + 1}"}
+        lines = [f"chromatic coloring on N = {graph.n}", payload["bound_implied"]]
     else:
-        n, k = cfg.params["n"], cfg.params["k"]
-        g = turan_lower(n, k)
-        payload = {"kind": kind, "n": g.n, "edges": g.edge_count(),
-                   "fan_free": k}
-        lines = [f"F_{k}-free graph on {g.n} vertices with "
-                 f"{g.edge_count()} edges"]
-        if cfg.output_path:
-            write_graph(g, cfg.output_path, cfg.fmt)
-            lines.append(f"wrote {cfg.output_path}")
+        if args.kind == "star-fan":
+            coloring, params = star_fan_lower(args.m, args.n)
         else:
-            payload["edge_list"] = [list(e) for e in g.edges()]
-        _emit(cfg, payload, lines)
-        return 0
-    if cfg.output_path:
-        write_coloring(coloring, cfg.output_path, cfg.fmt)
-        lines.append(f"wrote {cfg.output_path}")
+            coloring, params = star_fan_lower_special(args.n)
+        graph = coloring.red
+        payload = {"kind": args.kind, "params": params.to_json_dict(),
+                   "bound_implied": f"R(K_{{1,{params.m}}}, F_{params.n}) "
+                                    f">= {params.N + 1}"}
+        label = "star-fan" if args.kind == "star-fan" else "special star-fan"
+        lines = [f"{label} coloring on N = {params.N}",
+                 f"a={params.a} b={params.b} sigma={params.sigma}",
+                 payload["bound_implied"]]
+    if args.out:
+        write_graph(graph, args.out, args.fmt)
+        lines.append(f"wrote {args.out}")
+    elif args.kind == "turan":
+        payload["edge_list"] = [list(e) for e in graph.edges()]
     else:
-        payload["red_edges"] = [list(e) for e in coloring.red.edges()]
-        payload["N"] = coloring.n
-    _emit(cfg, payload, lines)
+        payload.update(red_edges=[list(e) for e in graph.edges()], N=graph.n)
+    _emit(args, payload, lines)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    coloring = read_coloring(cfg.input_path, cfg.fmt)
-    n = cfg.params["n"]
-    m = cfg.params.get("m")
-    if m is None:
-        report = verify_fan_fan_witness(coloring, n)
+def cmd_verify(args: argparse.Namespace) -> int:
+    coloring = read_coloring(args.input, args.fmt)
+    if args.m is None:
+        report = verify_fan_fan_witness(coloring, args.n)
     else:
-        report = verify_star_fan_witness(coloring, m, n)
-    _emit(cfg, report.to_json_dict(), _report_lines(report))
+        report = verify_star_fan_witness(coloring, args.m, args.n)
+    _emit(args, report.to_json_dict(), _report_lines(report))
     return 0 if report.all_hold else 1
 
 
-def cmd_decompose(cfg: RunConfig) -> int:
-    g = read_graph(cfg.input_path, cfg.fmt)
-    part = edmonds_gallai(g)
-    payload = part.to_json_dict()
+def cmd_decompose(args: argparse.Namespace) -> int:
+    part = edmonds_gallai(read_graph(args.input, args.fmt))
     lines = [f"nu = {part.nu}, deficiency = {part.deficiency}, p = {part.p}",
              f"A = {sorted(part.A)}",
              f"C = {sorted(part.C)}"]
     for i, comp in enumerate(part.D):
         lines.append(f"D_{i + 1} = {sorted(comp)}")
-    _emit(cfg, payload, lines)
+    _emit(args, part.to_json_dict(), lines)
     return 0
 
 
-def cmd_realize(cfg: RunConfig) -> int:
-    if cfg.params.get("xs") is not None:
-        spec = DegreePairSpec(cfg.params["xs"], cfg.params["ys"])
+def cmd_realize(args: argparse.Namespace) -> int:
+    window = {"a": args.a, "b": args.b, "c": args.c, "d": args.d, "sigma": args.sigma}
+    pair_mode = args.x is not None or args.y is not None
+    if pair_mode == any(v is not None for v in window.values()):
+        raise ValueError("realize needs either --x/--y or --a/--b/--c/--d/--sigma")
+    if pair_mode:
+        if args.x is None or args.y is None:
+            raise ValueError("realize pair mode needs both --x and --y")
+        spec = DegreePairSpec(args.x, args.y)
         check = is_bigraphic(spec)
         if not check.ok:
             payload = {"bigraphic": False, "reason": check.reason}
-            _emit(cfg, payload, [f"not bigraphic: {check.reason}"])
+            _emit(args, payload, [f"not bigraphic: {check.reason}"])
             return 1
         g, (left, right) = realize_bigraphic(spec)
         payload = {"bigraphic": True, "n": g.n,
@@ -168,82 +141,83 @@ def cmd_realize(cfg: RunConfig) -> int:
         lines = [f"bigraphic: realized on {g.n} vertices, "
                  f"{g.edge_count()} edges"]
     else:
-        p = IntervalRealizationParams(cfg.params["a"], cfg.params["b"],
-                                      cfg.params["c"], cfg.params["d"],
-                                      cfg.params["sigma"])
-        g = realize_interval(p)
-        payload = {"a": p.a, "b": p.b, "c": p.c, "d": p.d, "sigma": p.sigma,
-                   "edges": [list(e) for e in g.edges()],
+        missing = [name for name, v in window.items() if v is None]
+        if missing:
+            raise ValueError(f"realize interval mode needs --{missing[0]}")
+        g = realize_interval(IntervalRealizationParams(**window))
+        payload = {**window, "edges": [list(e) for e in g.edges()],
                    "degrees": g.degrees()}
         lines = [f"interval realization on {g.n} vertices, "
                  f"{g.edge_count()} edges",
                  f"degrees: {g.degrees()}"]
-    if cfg.output_path:
-        write_graph(g, cfg.output_path, cfg.fmt)
-        lines.append(f"wrote {cfg.output_path}")
-    _emit(cfg, payload, lines)
+    if args.out:
+        write_graph(g, args.out, args.fmt)
+        lines.append(f"wrote {args.out}")
+    _emit(args, payload, lines)
     return 0
 
 
-def cmd_fan_find(cfg: RunConfig) -> int:
-    if cfg.input_path is not None:
-        g = read_graph(cfg.input_path, cfg.fmt)
-        w = find_fan(g, cfg.params["k"])
+def cmd_fan_find(args: argparse.Namespace) -> int:
+    if args.input is not None:
+        if args.k is None:
+            raise ValueError("fan-find on a file requires --k")
+        w = find_fan(read_graph(args.input, args.fmt), args.k)
         if w is None:
-            payload = {"found": False, "k": cfg.params["k"]}
-            _emit(cfg, payload, [f"no F_{cfg.params['k']}"])
+            _emit(args, {"found": False, "k": args.k}, [f"no F_{args.k}"])
         else:
-            payload = {"found": True, "k": cfg.params["k"],
-                       "witness": w.to_json_dict()}
-            _emit(cfg, payload, [f"F_{cfg.params['k']} centered at {w.center}",
-                                 f"spokes: {list(w.spokes)}"])
+            payload = {"found": True, "k": args.k, "witness": w.to_json_dict()}
+            _emit(args, payload, [f"F_{args.k} centered at {w.center}",
+                                  f"spokes: {list(w.spokes)}"])
         return 0
-    n = cfg.params["n"]
-    trials = cfg.params["trials"]
-    rng = random.Random(cfg.seed)
-    found = 0
-    for _ in range(trials):
-        coloring = conditioned_coloring(rng, n)
-        result = high_degree_fan(coloring, n)
-        if result is not None:
-            found += 1
-    payload = {"trials": trials, "found": found, "n": n, "seed": cfg.seed}
-    _emit(cfg, payload, [f"{found}/{trials} conditioned trials produced "
-                         f"a monochromatic F_{n}"])
-    return 0 if found == trials else 1
+    if args.n is None or args.trials is None:
+        raise ValueError("fan-find trial mode requires --n and --trials")
+    rng = random.Random(args.seed)
+    found = sum(high_degree_fan(conditioned_coloring(rng, args.n), args.n) is not None
+                for _ in range(args.trials))
+    payload = {"trials": args.trials, "found": found, "n": args.n, "seed": args.seed}
+    _emit(args, payload, [f"{found}/{args.trials} conditioned trials produced "
+                          f"a monochromatic F_{args.n}"])
+    return 0 if found == args.trials else 1
 
 
-def cmd_search(cfg: RunConfig) -> int:
-    result = brute_force_ramsey(
-        (cfg.params["blue_kind"], cfg.params["blue_size"]),
-        (cfg.params["red_kind"], cfg.params["red_size"]),
-        cfg.params["cap"], workers=cfg.workers)
-    _emit(cfg, result.to_json_dict(), [result.describe()])
+def cmd_search(args: argparse.Namespace) -> int:
+    result = brute_force_ramsey((args.blue_kind, args.blue_size),
+                                (args.red_kind, args.red_size),
+                                args.cap, workers=args.workers)
+    _emit(args, result.to_json_dict(), [result.describe()])
     return 0
 
 
-def cmd_formula(cfg: RunConfig) -> int:
-    which = cfg.params["which"]
-    if which == "star-fan":
-        res = star_fan_formula(cfg.params["m"], cfg.params["n"])
-        payload = res.to_json_dict()
+def cmd_formula(args: argparse.Namespace) -> int:
+    if args.which == "star-fan":
+        res = star_fan_formula(args.m, args.n)
         lines = [f"regime: {res.regime}",
                  f"value = {res.lower}" if res.exact
                  else f"bounds: ({res.lower:.6g}, {res.upper:.6g})"]
-    elif which == "fan":
-        res = fan_ramsey_bounds(cfg.params["n"], cfg.params["epsilon"])
-        payload = res.to_json_dict()
+    elif args.which == "fan":
+        res = fan_ramsey_bounds(args.n, args.epsilon)
         lines = [f"lower = {res.lower:.6g}",
                  f"upper = {res.upper:.6g} "
                  f"({'valid' if res.upper_valid else 'gate not met'})"]
         lines.extend(res.notes)
     else:
-        res = dirac_threshold(cfg.params["n"], cfg.params["k"])
-        payload = res.to_json_dict()
+        res = dirac_threshold(args.n, args.k)
         lines = [f"case {res.case} ({res.label}): threshold {res.threshold:.6g}"
                  + (" up to an additive constant" if res.theta_unresolved else "")]
-    _emit(cfg, payload, lines)
+    _emit(args, res.to_json_dict(), lines)
     return 0
+
+
+def _degree_list(text: str) -> list[int]:
+    """Comma-separated degrees, e.g. '3,2,2'."""
+    return [int(t) for t in text.split(",") if t != ""]
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -251,50 +225,53 @@ def _build_parser() -> argparse.ArgumentParser:
                                   description="Fan Ramsey constructions and oracles")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, with_fmt=True):
+    def common(p, func, with_fmt=True):
         p.add_argument("--json", action="store_true", help="emit structured JSON")
         if with_fmt:
             p.add_argument("--format", choices=[EDGELIST, GRAPH6],
                            default=EDGELIST, dest="fmt")
+        p.set_defaults(func=func)
 
     c = sub.add_parser("construct", help="build a lower-bound coloring or graph")
-    c.add_argument("kind", choices=["star-fan", "star-fan-special",
-                                    "chromatic", "turan"])
-    c.add_argument("--m", type=int)
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--k", type=int)
-    c.add_argument("--out")
-    common(c)
+    kinds = c.add_subparsers(dest="kind", required=True)
+    for kind, flag in (("star-fan", "--m"), ("star-fan-special", None),
+                       ("chromatic", None), ("turan", "--k")):
+        p = kinds.add_parser(kind)
+        if flag:
+            p.add_argument(flag, type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--out")
+        common(p, cmd_construct)
 
     v = sub.add_parser("verify", help="verify a coloring against the targets")
     v.add_argument("input")
     v.add_argument("--m", type=int)
     v.add_argument("--n", type=int, required=True)
-    common(v)
+    common(v, cmd_verify)
 
     d = sub.add_parser("decompose", help="Gallai-Edmonds partition of a graph")
     d.add_argument("input")
-    common(d)
+    common(d, cmd_decompose)
 
     r = sub.add_parser("realize", help="bipartite degree realization")
-    r.add_argument("--x", help="comma-separated left degrees")
-    r.add_argument("--y", help="comma-separated right degrees")
+    r.add_argument("--x", type=_degree_list, help="comma-separated left degrees")
+    r.add_argument("--y", type=_degree_list, help="comma-separated right degrees")
     r.add_argument("--a", type=int)
     r.add_argument("--b", type=int)
     r.add_argument("--c", type=int)
     r.add_argument("--d", type=int)
     r.add_argument("--sigma", type=int)
     r.add_argument("--out")
-    common(r)
+    common(r, cmd_realize)
 
     f = sub.add_parser("fan-find", help="search a graph for F_k, or run "
                                         "conditioned high-degree trials")
     f.add_argument("input", nargs="?")
     f.add_argument("--k", type=int)
     f.add_argument("--n", type=int)
-    f.add_argument("--trials", type=int)
+    f.add_argument("--trials", type=_positive_int)
     f.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common(f)
+    common(f, cmd_fan_find)
 
     s = sub.add_parser("search", help="exhaustive small Ramsey number search")
     s.add_argument("blue_kind", choices=["star", "fan"])
@@ -303,123 +280,35 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("red_size", type=int)
     s.add_argument("--cap", type=int, required=True)
     s.add_argument("--workers", type=int,
-                   default=int(os.environ.get("FANRAMSEY_WORKERS", "1")))
-    common(s, with_fmt=False)
+                   default=os.environ.get("FANRAMSEY_WORKERS", "1"))
+    common(s, cmd_search, with_fmt=False)
 
     fo = sub.add_parser("formula", help="evaluate a bound formula")
-    fo.add_argument("which", choices=["star-fan", "fan", "dirac"])
-    fo.add_argument("--m", type=int)
-    fo.add_argument("--n", type=int, required=True)
-    fo.add_argument("--k", type=int)
-    fo.add_argument("--epsilon", type=float)
-    common(fo, with_fmt=False)
+    which = fo.add_subparsers(dest="which", required=True)
+    for name, flag, kind in (("star-fan", "--m", int), ("fan", "--epsilon", float),
+                             ("dirac", "--k", int)):
+        p = which.add_parser(name)
+        p.add_argument(flag, type=kind, required=True)
+        p.add_argument("--n", type=int, required=True)
+        common(p, cmd_formula, with_fmt=False)
     return top
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand, as_json=args.json)
-    cfg.fmt = getattr(args, "fmt", EDGELIST)
-    if args.subcommand == "construct":
-        cfg.params["kind"] = args.kind
-        cfg.params["n"] = args.n
-        cfg.output_path = args.out
-        if args.kind == "star-fan":
-            if args.m is None:
-                raise ValueError("construct star-fan requires --m")
-            cfg.params["m"] = args.m
-        if args.kind == "turan":
-            if args.k is None:
-                raise ValueError("construct turan requires --k")
-            cfg.params["k"] = args.k
-    elif args.subcommand == "verify":
-        cfg.input_path = args.input
-        cfg.params["n"] = args.n
-        if args.m is not None:
-            cfg.params["m"] = args.m
-    elif args.subcommand == "decompose":
-        cfg.input_path = args.input
-    elif args.subcommand == "realize":
-        pair_mode = args.x is not None or args.y is not None
-        interval_mode = any(getattr(args, name) is not None
-                            for name in ("a", "b", "c", "d", "sigma"))
-        if pair_mode == interval_mode:
-            raise ValueError("realize needs either --x/--y or --a/--b/--c/--d/--sigma")
-        if pair_mode:
-            if args.x is None or args.y is None:
-                raise ValueError("realize pair mode needs both --x and --y")
-            cfg.params["xs"] = [int(t) for t in args.x.split(",") if t != ""]
-            cfg.params["ys"] = [int(t) for t in args.y.split(",") if t != ""]
-        else:
-            for name in ("a", "b", "c", "d", "sigma"):
-                value = getattr(args, name)
-                if value is None:
-                    raise ValueError(f"realize interval mode needs --{name}")
-                cfg.params[name] = value
-        cfg.output_path = args.out
-    elif args.subcommand == "fan-find":
-        cfg.seed = args.seed
-        if args.input is not None:
-            cfg.input_path = args.input
-            if args.k is None:
-                raise ValueError("fan-find on a file requires --k")
-            cfg.params["k"] = args.k
-        else:
-            if args.n is None or args.trials is None:
-                raise ValueError("fan-find trial mode requires --n and --trials")
-            cfg.params["n"] = args.n
-            cfg.params["trials"] = args.trials
-    elif args.subcommand == "search":
-        cfg.params.update(blue_kind=args.blue_kind, blue_size=args.blue_size,
-                          red_kind=args.red_kind, red_size=args.red_size,
-                          cap=args.cap)
-        cfg.workers = args.workers
-    elif args.subcommand == "formula":
-        cfg.params["which"] = args.which
-        cfg.params["n"] = args.n
-        if args.which == "star-fan":
-            if args.m is None:
-                raise ValueError("formula star-fan requires --m")
-            cfg.params["m"] = args.m
-        elif args.which == "fan":
-            if args.epsilon is None:
-                raise ValueError("formula fan requires --epsilon")
-            cfg.params["epsilon"] = args.epsilon
-        else:
-            if args.k is None:
-                raise ValueError("formula dirac requires --k")
-            cfg.params["k"] = args.k
-    return cfg
-
-
-_DISPATCH = {
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-    "decompose": cmd_decompose,
-    "realize": cmd_realize,
-    "fan-find": cmd_fan_find,
-    "search": cmd_search,
-    "formula": cmd_formula,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.subcommand](cfg)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (UnsupportedRangeError, SizeGuardError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    try:
+        return args.func(args)
+    except (ParseError, OSError) as exc:
+        error, status = exc, 3
+    except (UnsupportedRangeError, ValueError) as exc:
+        error, status = exc, 2
     except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        error, status = exc, 1
+    print(f"error: {error}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -276,13 +276,12 @@ class FanExtensionInstance:
         for idx, p in enumerate(parts):
             for u in p:
                 member[u] = idx
-        for u in sorted(member):
-            for w in sorted(member):
-                if u < w:
-                    expect = member[u] != member[w]
-                    if self.host.has_edge(u, w) != expect:
-                        raise ValueError(
-                            f"X u Y not complete multipartite at pair ({u}, {w})")
+        order = sorted(member)
+        for i, u in enumerate(order):
+            for w in order[i + 1:]:
+                if self.host.has_edge(u, w) != (member[u] != member[w]):
+                    raise ValueError(
+                        f"X u Y not complete multipartite at pair ({u}, {w})")
 
     @property
     def x(self) -> frozenset[int]:

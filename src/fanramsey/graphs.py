@@ -16,8 +16,10 @@ EDGELIST = "edgelist"
 GRAPH6 = "graph6"
 FORMATS = (EDGELIST, GRAPH6)
 
-# graph6 long form tops out at 2^18 - 1 vertices; plenty for desk scale.
-_GRAPH6_MAX_N = 258047
+# Largest order the 4-byte graph6 header holds. Edge lists share the limit,
+# so every graph file converts to graph6 and no file can declare an order
+# that would exhaust memory before any edge is read.
+_MAX_ORDER = 258047
 
 
 def opposite(color: str) -> str:
@@ -246,8 +248,8 @@ class TwoColoring:
 # ---------------------------------------------------------------------------
 
 def graph6_encode(g: Graph) -> str:
-    if g.n > _GRAPH6_MAX_N:
-        raise ValueError(f"graph6 supports at most {_GRAPH6_MAX_N} vertices")
+    if g.n > _MAX_ORDER:
+        raise ValueError(f"graph6 supports at most {_MAX_ORDER} vertices")
     if g.n <= 62:
         header = [g.n + 63]
     else:
@@ -277,17 +279,26 @@ def graph6_decode(text: str) -> Graph:
             raise ParseError(f"invalid graph6 byte at position {pos}")
     if not data:
         raise ParseError("empty graph6 string")
-    if data[0] == 63:
-        if len(data) < 4:
-            raise ParseError("truncated graph6 header")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
+    if data[0] != 63:
+        n, start = data[0], 1
     else:
-        n = data[0]
-        body = data[1:]
+        long_form = data[1:2] == [63]
+        start = 8 if long_form else 4
+        if len(data) < start:
+            raise ParseError("truncated graph6 header")
+        n = 0
+        for value in data[2 if long_form else 1:start]:
+            n = (n << 6) | value
+        if n > _MAX_ORDER:
+            raise ParseError(f"graph6 order {n} exceeds the supported {_MAX_ORDER}")
+    body = data[start:]
     need = n * (n - 1) // 2
-    if len(body) * 6 < need:
-        raise ParseError(f"graph6 body too short: {len(body) * 6} bits, need {need}")
+    size = (need + 5) // 6
+    if len(body) != size:
+        raise ParseError(f"graph6 body has {len(body)} bytes, n={n} needs {size}")
+    pad = 6 * size - need
+    if pad and body[-1] & ((1 << pad) - 1):
+        raise ParseError("graph6 padding bits are not zero")
     bits = []
     for value in body:
         for shift in range(5, -1, -1):
@@ -321,8 +332,13 @@ def write_graph(g: Graph, path: str | os.PathLike, fmt: str = EDGELIST) -> None:
 
 
 def read_graph(path: str | os.PathLike, fmt: str = EDGELIST) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: non-ASCII byte 0x{data[exc.start]:02x} "
+                         f"at byte offset {exc.start}") from None
     if fmt == EDGELIST:
         return _parse_edgelist(text, str(path))
     if fmt == GRAPH6:
@@ -368,6 +384,8 @@ def _parse_edgelist(text: str, origin: str) -> Graph:
         pairs.append(key)
         max_id = max(max_id, u, v)
     n = declared_n if declared_n is not None else max_id + 1
+    if n > _MAX_ORDER:
+        raise ParseError(f"{origin}: order {n} exceeds the supported {_MAX_ORDER}")
     if max_id >= n:
         raise ParseError(f"{origin}: vertex {max_id} exceeds declared n={n}")
     return Graph(n, pairs)

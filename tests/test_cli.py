@@ -1,6 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +63,10 @@ class TestConstruct:
     def test_missing_m_exits_2(self, capsys):
         assert main(["construct", "star-fan", "--n", "5"]) == 2
 
+    def test_flag_the_kind_ignores_exits_2(self, capsys):
+        assert main(["construct", "chromatic", "--n", "2", "--m", "5"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_text_output(self, capsys):
         code = main(["construct", "star-fan", "--m", "10", "--n", "5",
                      "--out", "/dev/null"])
@@ -107,6 +114,12 @@ class TestVerify:
         bad.write_text("1 2\nbroken line here\n")
         assert main(["verify", str(bad), "--n", "2"]) == 3
 
+    def test_non_ascii_file_exits_3(self, capsys, tmp_path):
+        bad = tmp_path / "bad.el"
+        bad.write_bytes(b"# n=3\n0 1\n1 \xff2\n")
+        assert main(["verify", str(bad), "--n", "2"]) == 3
+        assert "0xff at byte offset 12" in capsys.readouterr().err
+
 
 class TestDecompose:
     def test_path_three(self, capsys, tmp_path):
@@ -124,6 +137,11 @@ class TestDecompose:
         out = capsys.readouterr().out
         assert "nu = 1, deficiency = 1, p = 2" in out
         assert "D_2 = [2]" in out
+
+    def test_non_ascii_file_exits_3(self, capsys, tmp_path):
+        bad = tmp_path / "bad.el"
+        bad.write_bytes(b"0 1\n\xff\n")
+        assert main(["decompose", str(bad)]) == 3
 
 
 class TestRealize:
@@ -206,6 +224,11 @@ class TestFanFind:
     def test_trial_mode_needs_args(self, capsys):
         assert main(["fan-find", "--n", "2"]) == 2
 
+    def test_trials_must_be_positive(self, capsys):
+        assert main(["fan-find", "--n", "2", "--trials", "-3"]) == 2
+        assert main(["fan-find", "--n", "2", "--trials", "0"]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestSearch:
     def test_known_value(self, capsys):
@@ -236,6 +259,11 @@ class TestSearch:
         _, data = run_json(capsys, ["search", "star", "1", "fan", "2",
                                     "--cap", "9"])
         assert data["value"] == 5
+
+    def test_bad_workers_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("FANRAMSEY_WORKERS", "two")
+        assert main(["search", "star", "1", "fan", "2", "--cap", "9"]) == 2
+        assert main(["formula", "star-fan", "--m", "1", "--n", "2"]) == 0
 
 
 class TestFormula:
@@ -280,3 +308,26 @@ def test_console_script_installed():
                            "--json"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["lower"] == 5.0
+
+
+def test_main_returns_status_for_every_argv(capsys):
+    assert main(["--help"]) == 0
+    assert main(["nosuch"]) == 2
+    assert main([]) == 2
+
+
+def test_module_entry_point_exit_codes(capsys, tmp_path):
+    witness = tmp_path / "w.el"
+    assert main(["construct", "star-fan", "--m", "10", "--n", "5",
+                 "--out", str(witness)]) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cases = [(["formula", "star-fan", "--m", "1", "--n", "2"], 0),
+             (["verify", str(witness), "--m", "2", "--n", "5"], 1),
+             (["nosuch"], 2),
+             (["construct", "star-fan", "--n", "5"], 2),
+             (["verify", str(tmp_path / "missing.el"), "--n", "2"], 3)]
+    for argv, status in cases:
+        proc = subprocess.run([sys.executable, "-m", "fanramsey.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == status, (argv, proc.stderr)

@@ -161,6 +161,23 @@ class TestGraph6:
         with pytest.raises(ParseError):
             graph6_decode("D?")  # truncated bit body
 
+    def test_rejects_trailing_bytes(self):
+        assert graph6_decode("A_").edges() == [(0, 1)]
+        with pytest.raises(ParseError, match="needs 1"):
+            graph6_decode("A_zzzz")
+
+    def test_rejects_nonzero_padding(self):
+        with pytest.raises(ParseError, match="padding"):
+            graph6_decode("A`")
+
+    def test_eight_byte_header(self):
+        digits = [(300000 >> shift) & 63 for shift in (30, 24, 18, 12, 6, 0)]
+        with pytest.raises(ParseError, match="order 300000"):
+            graph6_decode("~~" + "".join(chr(d + 63) for d in digits))
+        with pytest.raises(ParseError, match="truncated"):
+            graph6_decode("~~??")
+        assert graph6_decode("~~?????B?") == Graph(3)
+
     def test_against_networkx(self):
         nx = pytest.importorskip("networkx")
         rng = random.Random(23)
@@ -201,6 +218,18 @@ class TestEdgelistIO:
             read_graph(path)
         assert ":2" in str(exc.value)
 
+    def test_non_ascii_byte_reports_offset(self, tmp_path):
+        path = tmp_path / "bad.el"
+        path.write_bytes(b"0 1\n\xff\n")
+        with pytest.raises(ParseError, match="0xff at byte offset 4"):
+            read_graph(path)
+
+    def test_order_above_graph6_limit_rejected(self, tmp_path):
+        path = tmp_path / "huge.el"
+        path.write_text("0 300000\n")
+        with pytest.raises(ParseError, match="order 300001"):
+            read_graph(path)
+
     def test_rejects_loop_line(self, tmp_path):
         path = tmp_path / "loop.el"
         path.write_text("2 2\n")
@@ -226,10 +255,50 @@ def graphs(draw, max_n=12):
     return Graph(n, picked)
 
 
-@given(graphs())
+@st.composite
+def graph6_graphs(draw):
+    """Graphs at the orders where the graph6 header changes form, and random ones."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 2, 62, 63, 64]),
+                       st.integers(min_value=0, max_value=80)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    return random_graph(rng, n, draw(st.floats(min_value=0, max_value=1)))
+
+
+@given(graph6_graphs())
 @settings(max_examples=150, deadline=None)
 def test_graph6_round_trip_property(g):
     assert graph6_decode(graph6_encode(g)) == g
+
+
+@given(st.one_of(st.text(), st.text(alphabet=[chr(c) for c in range(60, 128)])))
+@settings(max_examples=300, deadline=None)
+def test_graph6_decode_fuzz(text):
+    try:
+        assert isinstance(graph6_decode(text), Graph)
+    except ParseError:
+        pass
+
+
+_EDGELIST_TOKENS = st.one_of(
+    st.integers().map(str),
+    st.sampled_from(["# n=", "#", " ", "\t", "\n", "\r\n", "-", "x", "\xff"]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@given(st.one_of(st.binary(),
+                 st.lists(_EDGELIST_TOKENS).map(lambda ts: "".join(ts).encode("latin-1"))),
+       st.sampled_from(["edgelist", "graph6"]))
+@settings(max_examples=300, deadline=None)
+def test_read_graph_fuzz(fuzz_file, data, fmt):
+    fuzz_file.write_bytes(data)
+    try:
+        assert isinstance(read_graph(fuzz_file, fmt), Graph)
+    except ParseError:
+        pass
 
 
 @given(graphs())
