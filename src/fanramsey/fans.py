@@ -2,9 +2,11 @@
 
 A fan F_k is a center joined to every vertex of a k-edge matching, so fan
 detection reduces to matching numbers of neighborhoods. find_fan is exact
-but certifies most vertices cheaply: a greedy matching witnesses presence,
-and a bipartition side count or a greedy vertex cover witnesses absence,
-with the blossom matcher as the fallback arbiter.
+but certifies most centers cheaply, in four tiers run on the int masks of
+Graph.bits: a greedy matching witnesses presence; a per-component bound
+(the smaller side of a bipartite component, floor(|C|/2) of any other) or
+a greedy vertex cover witnesses absence; the blossom matcher is the exact
+fallback. Only the first and last tiers build witnesses.
 """
 
 from __future__ import annotations
@@ -73,65 +75,78 @@ def _map_witness(w: FanWitness, mapping: Sequence[int]) -> FanWitness:
 # ---------------------------------------------------------------------------
 
 def _fan_at(g: Graph, v: int, k: int) -> FanWitness | None:
-    """Exact test for a k-edge matching inside N(v), cheap certificates first."""
-    hood = g.neighbors(v)
-    hood_set = g.neighbor_set(v)
-    local = {u: g.neighbor_set(u) & hood_set for u in hood}
+    """Exact test for a k-edge matching inside N(v), cheap certificates first.
 
-    used: set[int] = set()
+    Vertex sets are int masks over original ids (see Graph.bits).
+    """
+    hood = g.neighbors(v)
+    bits = g.bits
+    hood_mask = bits[v]
+    local = {u: bits[u] & hood_mask for u in hood}
+
+    # Presence: greedy matching, each u paired with its smallest unused
+    # neighbor; an unused neighbor below u would already have taken u.
+    used = 0
     greedy: list[tuple[int, int]] = []
     for u in hood:
-        if u in used:
+        free = local[u] & ~used
+        if used >> u & 1 or not free:
             continue
-        for w in sorted(local[u]):
-            if w > u and w not in used:
-                greedy.append((u, w))
-                used.add(u)
-                used.add(w)
-                break
+        w = (free & -free).bit_length() - 1
+        greedy.append((u, w))
+        used |= 1 << u | 1 << w
         if len(greedy) >= k:
-            return FanWitness(v, greedy[:k])
+            return FanWitness(v, greedy)
 
-    # Absence certificate 1: per-component bipartition side counts.
-    side = {}
-    bipartite = True
+    # Absence certificate 1: each component holds at most its smaller side
+    # when bipartite and floor(|C|/2) otherwise (Tutte-Berge with U empty).
+    seen = 0
     bound = 0
     for s in hood:
-        if s in side or not local[s]:
+        if seen >> s & 1 or not local[s]:
             continue
-        side[s] = 0
-        counts = [1, 0]
-        stack = [s]
-        while stack and bipartite:
-            x = stack.pop()
-            for y in local[x]:
-                if y not in side:
-                    side[y] = 1 - side[x]
-                    counts[side[y]] += 1
-                    stack.append(y)
-                elif side[y] == side[x]:
-                    bipartite = False
-                    break
-        if not bipartite:
-            break
-        bound += min(counts)
-    if bipartite:
-        if bound < k:
-            return None
-    else:
-        # Absence certificate 2: a vertex cover of size < k bounds the matching.
-        work = {u: set(nb) for u, nb in local.items() if nb}
-        cover = 0
-        while work and cover < k:
-            u = max(work, key=lambda x: (len(work[x]), -x))
-            for y in work[u]:
-                work[y].discard(u)
-                if not work[y]:
-                    del work[y]
-            del work[u]
-            cover += 1
-        if cover < k:
-            return None
+        comp = frontier = 1 << s
+        counts = [0, 0]
+        parity = 0
+        bipartite = True
+        while frontier:
+            counts[parity] += frontier.bit_count()
+            reach = 0
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                nb = local[low.bit_length() - 1]
+                bipartite = bipartite and not nb & frontier
+                reach |= nb
+                rest ^= low
+            frontier = reach & ~comp
+            comp |= frontier
+            parity ^= 1
+        seen |= comp
+        bound += min(counts) if bipartite else (counts[0] + counts[1]) // 2
+    if bound < k:
+        return None
+
+    # Absence certificate 2: a vertex cover of size < k bounds the matching.
+    # Greedy picks maximum remaining degree, smallest id on ties.
+    deg = {u: nb.bit_count() for u, nb in local.items() if nb}
+    alive = hood_mask
+    cover = 0
+    while deg and cover < k:
+        u = max(deg, key=deg.__getitem__)
+        del deg[u]
+        alive ^= 1 << u
+        rest = local[u] & alive
+        while rest:
+            low = rest & -rest
+            y = low.bit_length() - 1
+            deg[y] -= 1
+            if not deg[y]:
+                del deg[y]
+            rest ^= low
+        cover += 1
+    if cover < k:
+        return None
 
     sub, mapping = induced(g, hood)
     mm = max_matching(sub)
@@ -149,9 +164,10 @@ def find_fan(g: Graph, k: int) -> FanWitness | None:
     """
     if k < 1:
         raise ValueError("fan size must be positive")
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    for v in order:
-        if g.degree(v) < 2 * k:
+    deg = g.degrees()
+    # the sort is stable, so equal degrees keep ascending id order
+    for v in sorted(range(g.n), key=lambda v: -deg[v]):
+        if deg[v] < 2 * k:
             break
         w = _fan_at(g, v, k)
         if w is not None:

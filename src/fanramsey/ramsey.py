@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
-from math import sqrt
+from math import isfinite, sqrt
 
 from .errors import SizeGuardError
 from .fans import find_fan, max_blue_star
@@ -142,8 +142,8 @@ def fan_ramsey_bounds(n: int, epsilon: float) -> FormulaResult:
     once n >= 384/eps^2; the gate is reported on the result, never dropped."""
     if n < 1:
         raise ValueError("n must be positive")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
     lower = (3 + sqrt(3)) * n - 8
     upper = (5 + epsilon) * n
     gate = 384 / (epsilon * epsilon)

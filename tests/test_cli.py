@@ -143,6 +143,13 @@ class TestDecompose:
         bad.write_bytes(b"0 1\n\xff\n")
         assert main(["decompose", str(bad)]) == 3
 
+    @pytest.mark.parametrize("text", ["1_0 2\n", "+2 3\n", "# n=1_0\n0 1\n"])
+    def test_non_decimal_ids_exit_3(self, capsys, tmp_path, text):
+        bad = tmp_path / "odd.el"
+        bad.write_text(text)
+        assert main(["decompose", str(bad)]) == 3
+        assert capsys.readouterr().out == ""
+
 
 class TestRealize:
     def test_pair_mode(self, capsys):
@@ -295,6 +302,11 @@ class TestFormula:
         assert main(["formula", "star-fan", "--n", "5"]) == 2
         assert main(["formula", "fan", "--n", "5"]) == 2
         assert main(["formula", "dirac", "--n", "5"]) == 2
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_fan_non_finite_epsilon_exits_2(self, capsys, epsilon):
+        assert main(["formula", "fan", "--n", "10", "--epsilon", epsilon]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_dirac_range_exits_2(self, capsys):
         assert main(["formula", "dirac", "--n", "10", "--k", "5"]) == 2

@@ -29,9 +29,11 @@ from fanramsey import (
     max_blue_star,
     multipartite_matching,
     multipartite_matching_bound,
+    star_fan_lower_special,
     turan_lower,
     validate_fan_witness,
 )
+from fanramsey import fans
 
 
 def random_graph(rng, n, p=0.5):
@@ -437,3 +439,36 @@ def test_find_fan_agrees_with_oracle_property(gk):
     assert (w is not None) == fan_exists_oracle(g, k)
     if w is not None:
         validate_fan_witness(g, w, k)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=14))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    return random_graph(rng, n, draw(st.floats(min_value=0, max_value=1)))
+
+
+@given(small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_fan_at_agrees_with_brute_matching_per_center(g):
+    for v in range(g.n):
+        sub, _ = induced(g, g.neighbors(v))
+        nu = brute_matching(sub).size
+        for k in range(1, g.n // 2 + 2):
+            w = fans._fan_at(g, v, k)
+            assert (w is None) == (nu < k)
+            if w is not None:
+                assert w.center == v
+                validate_fan_witness(g, w, k)
+
+
+@pytest.mark.parametrize("graph, k", [
+    (turan_lower(40, 10), 10),
+    (star_fan_lower_special(20)[0].red, 20),
+], ids=["turan-40-10", "special-20-red"])
+def test_component_bound_decides_without_blossom(monkeypatch, graph, k):
+    def no_blossom(g):
+        raise AssertionError("blossom fallback reached")
+
+    monkeypatch.setattr(fans, "max_matching", no_blossom)
+    assert find_fan(graph, k) is None

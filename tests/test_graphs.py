@@ -58,6 +58,38 @@ class TestGraph:
     def test_validate_graph(self):
         validate_graph(Graph(5, [(0, 4), (2, 3)]))
 
+    def test_bits_agree_with_rows(self):
+        rng = random.Random(17)
+        for n in (0, 1, 5, 31, 64, 70):
+            g = random_graph(rng, n, 0.4)
+            assert len(g.bits) == n
+            for v in range(n):
+                assert g.neighbor_set(v) == frozenset(g.neighbors(v))
+                for u in range(n):
+                    bit = g.bits[v] >> u & 1 == 1
+                    assert bit == g.has_edge(u, v) == (u in g.neighbors(v))
+
+    def test_equality_and_hash_across_constructions(self):
+        rng = random.Random(5)
+        g = random_graph(rng, 20, 0.3)
+        edges = g.edges()
+        shuffled = [(v, u) for u, v in reversed(edges)]
+        same = Graph(20, shuffled + edges[:3])
+        assert same == g and hash(same) == hash(g)
+        assert len({g, same, complement(complement(g))}) == 1
+        dropped = Graph(20, edges[1:])
+        assert dropped != g
+        non_edges = [(u, v) for u in range(20) for v in range(u + 1, 20)
+                     if not g.has_edge(u, v)]
+        assert complement(g) == Graph(20, non_edges)
+        assert hash(complement(g)) == hash(Graph(20, non_edges))
+        keep = [1, 4, 5, 9, 12, 19]
+        sub, _ = induced(g, keep)
+        expect = Graph(len(keep), [(i, j) for i, u in enumerate(keep)
+                                   for j, v in enumerate(keep)
+                                   if i < j and g.has_edge(u, v)])
+        assert sub == expect and hash(sub) == hash(expect)
+
 
 def test_complement_involution_exhaustive():
     for n in range(5):
@@ -228,6 +260,20 @@ class TestEdgelistIO:
         path = tmp_path / "huge.el"
         path.write_text("0 300000\n")
         with pytest.raises(ParseError, match="order 300001"):
+            read_graph(path)
+
+    @pytest.mark.parametrize("text", ["1_0 2\n", "+2 3\n", "# n=1_0\n0 1\n",
+                                      "# n=+4\n0 1\n"])
+    def test_rejects_non_decimal_ids(self, tmp_path, text):
+        path = tmp_path / "odd.el"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError):
+            read_graph(path)
+
+    def test_negative_id_named(self, tmp_path):
+        path = tmp_path / "neg.el"
+        path.write_text("0 -2\n")
+        with pytest.raises(ParseError, match="negative vertex id"):
             read_graph(path)
 
     def test_rejects_loop_line(self, tmp_path):

@@ -195,6 +195,11 @@ class TestFanRamseyBounds:
         with pytest.raises(ValueError):
             fan_ramsey_bounds(5, 0.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="finite"):
+            fan_ramsey_bounds(10, epsilon)
+
 
 def test_target_name():
     assert target_name(("star", 4)) == "K_{1,4}"
