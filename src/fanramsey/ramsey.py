@@ -9,6 +9,8 @@ backtracking over edge colorings with incremental forbidden-subgraph checks.
 from __future__ import annotations
 
 import multiprocessing
+from collections.abc import Iterator
+from itertools import repeat
 from dataclasses import dataclass, field
 from math import isfinite, sqrt
 
@@ -240,14 +242,32 @@ def _edge_order(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n) for j in range(i)]
 
 
-def _search(n: int, blue_t: Target, red_t: Target,
-            order: list[tuple[int, int]], idx: int,
-            blue: list[int], red: list[int]) -> bool:
+# Node budget of the serial attempt at each N when workers > 1; only a search
+# that runs past it goes to the pool. Measured on 2 vCPUs (Python 3.11.7):
+# the serial search visits about 450,000 nodes/s on star-star pairs and
+# 185,000 on pairs with a fan, and a fork Pool(2) start and stop costs
+# 15-50 ms (median 26), about 7,000-22,000 star nodes. Two workers at best
+# halve a search, so a pool pays only past about twice its own cost. The
+# benchmark's slow pairs need at most 18,437 nodes at any N, except
+# R(K_{1,6}, K_{1,4}) at N = 9 (305,471 nodes): two workers take that whole
+# search from 604 to 381 ms (medians of 12 alternating runs).
+_POOL_NODE_BUDGET = 20_000
+# The pool gets at least this many prefixes per worker: at 32 per worker,
+# R(K_{1,6}, K_{1,4}) at N = 9 splits into 124 subtrees, the largest holding
+# 6% of the nodes (at 3 per worker: 6 subtrees, the largest 52%).
+_PREFIXES_PER_WORKER = 32
+
+
+def _search(blue_t: Target, red_t: Target, order: list[tuple[int, int]],
+            idx: int, blue: list[int], red: list[int], ticks: Iterator) -> bool:
     """True iff some completion of the partial coloring avoids both targets.
 
     Blue is tried before red; edges to vertex 0 are forced non-increasing
     (blue block first) since permuting vertices 1..n-1 preserves avoidance.
+    Each call takes one item of ticks, so a finite ticks is a node budget
+    and StopIteration from it means the budget ran out.
     """
+    next(ticks)
     if idx == len(order):
         return True
     i, j = order[idx]
@@ -258,7 +278,7 @@ def _search(n: int, blue_t: Target, red_t: Target,
         adj[i] |= 1 << j
         adj[j] |= 1 << i
         ok = not _violates(adj, i, j, target)
-        if ok and _search(n, blue_t, red_t, order, idx + 1, blue, red):
+        if ok and _search(blue_t, red_t, order, idx + 1, blue, red, ticks):
             return True
         adj[i] &= ~(1 << j)
         adj[j] &= ~(1 << i)
@@ -266,8 +286,9 @@ def _search(n: int, blue_t: Target, red_t: Target,
 
 
 def _prefixes(n: int, blue_t: Target, red_t: Target,
-              order: list[tuple[int, int]], depth: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
+              order: list[tuple[int, int]], parts: int) -> list[tuple[int, ...]]:
+    """The colorings of the first edges that _search would extend, at the
+    least depth that gives at least `parts` of them, or at full depth."""
     blue = [0] * n
     red = [0] * n
 
@@ -289,54 +310,69 @@ def _prefixes(n: int, blue_t: Target, red_t: Target,
             adj[i] &= ~(1 << j)
             adj[j] &= ~(1 << i)
 
-    rec(0, [])
+    depth, out = 0, [()]
+    while out and len(out) < parts and depth < len(order):
+        depth += 1
+        out = []
+        rec(0, [])
     return out
 
 
-def _run_prefix_batch(args) -> bool:
-    n, blue_t, red_t, depth, batch = args
+def _search_prefix(task) -> bool:
+    """Pool task: search below one prefix with no budget."""
+    n, blue_t, red_t, prefix = task
     order = _edge_order(n)
-    for prefix in batch:
-        blue = [0] * n
-        red = [0] * n
-        for idx, is_blue in enumerate(prefix):
-            i, j = order[idx]
-            adj = blue if is_blue else red
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        if _search(n, blue_t, red_t, order, depth, blue, red):
-            return True
-    return False
-
-
-def _avoiding_exists(n: int, blue_t: Target, red_t: Target, workers: int) -> bool:
-    order = _edge_order(n)
-    if workers <= 1 or n < 4:
-        return _search(n, blue_t, red_t, order, 0, [0] * n, [0] * n)
-    depth = 3
-    prefixes = _prefixes(n, blue_t, red_t, order, depth)
-    if not prefixes:
-        return False
-    batches = [prefixes[i::workers] for i in range(workers)]
-    batches = [b for b in batches if b]
-    args = [(n, blue_t, red_t, depth, b) for b in batches]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(len(batches)) as pool:
-        return any(pool.map(_run_prefix_batch, args))
+    blue = [0] * n
+    red = [0] * n
+    for (i, j), is_blue in zip(order, prefix):
+        adj = blue if is_blue else red
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return _search(blue_t, red_t, order, len(prefix), blue, red, repeat(None))
 
 
 def brute_force_ramsey(blue_target: Target, red_target: Target, n_cap: int,
                        workers: int = 1) -> RamseySearchResult:
     """Least N forcing the blue target or the red target in every 2-coloring
-    of K_N, or a first-class ">= n_cap + 1" when the cap is reached."""
+    of K_N, or a first-class ">= n_cap + 1" when the cap is reached.
+
+    With workers > 1, each N first runs serially under a node budget of
+    about one pool start; only a search past it is split into prefixes for
+    a fork pool of `workers` processes, started at the first such N. The
+    first prefix with an avoiding coloring settles its N and stops the pool
+    with that N's other tasks; a later N forks a new one. No worker
+    outlives the call. The answer always equals the serial one.
+    """
     blue_t = _check_target(blue_target)
     red_t = _check_target(red_target)
     limit = 8 if blue_t[0] == "fan" and red_t[0] == "fan" else 9
     if not 1 <= n_cap <= limit:
         raise SizeGuardError(
             f"cap {n_cap} outside 1..{limit} for {blue_t[0]}-{red_t[0]} search")
-    workers = max(1, int(workers))
-    for n in range(1, n_cap + 1):
-        if not _avoiding_exists(n, blue_t, red_t, workers):
-            return RamseySearchResult(blue_t, red_t, n_cap, n)
-    return RamseySearchResult(blue_t, red_t, n_cap, None)
+    if workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    pool = None
+    try:
+        for n in range(1, n_cap + 1):
+            order = _edge_order(n)
+            try:
+                ticks = repeat(None, _POOL_NODE_BUDGET) if workers > 1 else repeat(None)
+                found = _search(blue_t, red_t, order, 0, [0] * n, [0] * n, ticks)
+            except StopIteration:
+                tasks = [(n, blue_t, red_t, p) for p in _prefixes(
+                    n, blue_t, red_t, order, _PREFIXES_PER_WORKER * workers)]
+                if pool is None:
+                    pool = multiprocessing.get_context("fork").Pool(workers)
+                found = any(pool.imap_unordered(_search_prefix, tasks))
+                if found:
+                    # other tasks of this N may still run: stop them with the pool
+                    pool.terminate()
+                    pool.join()
+                    pool = None
+            if not found:
+                return RamseySearchResult(blue_t, red_t, n_cap, n)
+        return RamseySearchResult(blue_t, red_t, n_cap, None)
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()

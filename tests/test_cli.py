@@ -272,6 +272,14 @@ class TestSearch:
         assert main(["search", "star", "1", "fan", "2", "--cap", "9"]) == 2
         assert main(["formula", "star-fan", "--m", "1", "--n", "2"]) == 0
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_workers_below_one_exit_2(self, capsys, monkeypatch, value):
+        argv = ["search", "star", "1", "fan", "2", "--cap", "9"]
+        assert main(argv + ["--workers", value]) == 2
+        monkeypatch.setenv("FANRAMSEY_WORKERS", value)
+        assert main(argv) == 2
+        assert "positive integer" in capsys.readouterr().err
+
 
 class TestFormula:
     def test_star_fan(self, capsys):

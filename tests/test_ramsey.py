@@ -1,5 +1,8 @@
 import math
+import multiprocessing
+import os
 import random
+import time
 
 import pytest
 
@@ -22,6 +25,7 @@ from fanramsey import (
     verify_star_fan_witness,
     write_coloring,
 )
+from fanramsey import ramsey
 
 
 def complete(n):
@@ -261,6 +265,11 @@ class TestBruteForce:
                 multi = brute_force_ramsey(blue, red, cap, workers=workers)
                 assert multi.to_json_dict() == single.to_json_dict()
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_worker_count_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            brute_force_ramsey(("star", 1), ("fan", 2), 9, workers=workers)
+
     def test_result_json(self):
         res = brute_force_ramsey(("star", 1), ("fan", 1), 9)
         data = res.to_json_dict()
@@ -281,3 +290,80 @@ class TestMonotonicity:
         assert values[1, 1] <= values[2, 1] <= values[3, 1]
         assert values[1, 1] <= values[1, 2]
         assert values[2, 1] <= values[2, 2]
+
+
+class TestPoolPath:
+    """workers > 1 with the node budget at 0, so every N goes to the pool."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        monkeypatch.setattr(ramsey, "_POOL_NODE_BUDGET", 0)
+        started = []
+        get_context = multiprocessing.get_context
+
+        def counting(method):
+            started.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(ramsey.multiprocessing, "get_context", counting)
+        return started
+
+    @pytest.mark.parametrize("blue, red, cap", [
+        (("star", 2), ("fan", 2), 9),   # exact; N = 1..4 settled by an early True
+        (("star", 3), ("star", 3), 9),  # exact
+        (("fan", 2), ("fan", 2), 8),    # reaches its cap
+    ])
+    @pytest.mark.parametrize("budget", [0, 5])
+    def test_matches_serial(self, pools, monkeypatch, budget, blue, red, cap):
+        # at 5 nodes N = 1, 2 finish serially and the pool starts later
+        monkeypatch.setattr(ramsey, "_POOL_NODE_BUDGET", budget)
+        single = brute_force_ramsey(blue, red, cap, workers=1)
+        assert not pools
+        for workers in (2, 3):
+            multi = brute_force_ramsey(blue, red, cap, workers=workers)
+            assert multi.to_json_dict() == single.to_json_dict()
+            assert not multiprocessing.active_children()
+        assert pools
+
+    def test_cheap_search_starts_no_pool(self, pools, monkeypatch):
+        monkeypatch.setattr(ramsey, "_POOL_NODE_BUDGET", 20_000)
+        assert brute_force_ramsey(("star", 2), ("fan", 3), 9, workers=2).value == 7
+        assert not pools
+
+    def test_no_task_of_an_earlier_n_runs_behind_a_later_one(self, pools, monkeypatch):
+        # each worker stalls for 10 s in its first task at N = 5 other than
+        # the first prefix, which holds an avoiding coloring; that answer
+        # must end the stalled tasks, or N = 6 waits behind them
+        fan2, n = ("fan", 2), 5
+        order5 = ramsey._edge_order(n)
+        first = ramsey._prefixes(n, fan2, fan2, order5, 64)[0]
+        parent, search, stalled = os.getpid(), ramsey._search, []
+
+        def stalling(blue_t, red_t, order, idx, blue, red, budget):
+            if (os.getpid() != parent and not stalled and order == order5
+                    and idx == len(first)
+                    and tuple(blue[i] >> j & 1 for i, j in order[:idx]) != first):
+                stalled.append(idx)
+                time.sleep(10)
+            return search(blue_t, red_t, order, idx, blue, red, budget)
+
+        monkeypatch.setattr(ramsey, "_search", stalling)
+        start = time.perf_counter()
+        assert brute_force_ramsey(fan2, fan2, 8, workers=2).value is None
+        assert time.perf_counter() - start < 10
+        assert len(pools) >= 2
+
+    def test_no_process_left_after_a_worker_raises(self, pools, monkeypatch):
+        parent = os.getpid()
+        search = ramsey._search
+
+        def failing_in_workers(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("search failed in a worker")
+            return search(*args)
+
+        monkeypatch.setattr(ramsey, "_search", failing_in_workers)
+        with pytest.raises(RuntimeError, match="in a worker"):
+            brute_force_ramsey(("star", 2), ("fan", 2), 9, workers=2)
+        assert pools
+        assert not multiprocessing.active_children()
