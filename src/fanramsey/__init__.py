@@ -1,4 +1,4 @@
-"""Ramsey numbers of fans versus stars: constructions, oracles, and verifiers."""
+"""Ramsey numbers of fans versus stars: constructions, searches, and verifiers."""
 
 from .bigraphic import (
     BigraphicCheck,
@@ -28,7 +28,6 @@ from .errors import (
 from .fans import (
     FanExtensionInstance,
     FanWitness,
-    cycle_oracle,
     fan_extend,
     find_extension_matching,
     find_fan,
@@ -55,7 +54,6 @@ from .graphs import (
     opposite,
     read_coloring,
     read_graph,
-    validate_graph,
     write_coloring,
     write_graph,
 )
@@ -64,10 +62,8 @@ from .matching import (
     EGPartition,
     Matching,
     VertexCover,
-    brute_matching,
     edmonds_gallai,
     eg_neighborhood_structure,
-    enumerate_maximum_matchings,
     konig_cover,
     matching_number,
     max_matching,

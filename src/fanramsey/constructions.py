@@ -77,14 +77,22 @@ class ConstructionParams:
         }
 
 
-def _assemble_star_fan(m: int, n: int, a: int, b: int, sigma: int,
-                       sigma_realize: int) -> tuple[TwoColoring, ConstructionParams]:
+def _assemble_star_fan(m: int, n: int,
+                       window: int | None = None) -> tuple[TwoColoring, ConstructionParams]:
+    """The 4-block coloring for (m, n); the X_i-Y_i degree window is sigma
+    unless a fixed window is given."""
+    a, b = _block_sizes(m, n)
+    if a < 1 or b < 1:
+        raise UnsupportedRangeError(
+            f"degenerate block sizes a={a}, b={b} for m={m}, n={n}")
+    sigma = m + n - 1 - a - 2 * b
     if not 2 <= sigma <= 4:
         raise RuntimeError(f"sigma={sigma} outside [2, 4]; derivation bug")
     c = n - 1 - b
     d = n - 1
     try:
-        partial = realize_interval(IntervalRealizationParams(a, b, c, d, sigma_realize))
+        partial = realize_interval(IntervalRealizationParams(
+            a, b, c, d, sigma if window is None else window))
     except ValueError as exc:
         raise RuntimeError(f"interval realization infeasible: {exc}") from exc
 
@@ -121,12 +129,7 @@ def star_fan_lower(m: int, n: int) -> tuple[TwoColoring, ConstructionParams]:
     """
     if not m > n >= 2:
         raise UnsupportedRangeError(f"need m > n >= 2, got m={m}, n={n}")
-    a, b = _block_sizes(m, n)
-    if a < 1 or b < 1:
-        raise UnsupportedRangeError(
-            f"degenerate block sizes a={a}, b={b} for m={m}, n={n}")
-    sigma = m + n - 1 - a - 2 * b
-    return _assemble_star_fan(m, n, a, b, sigma, sigma)
+    return _assemble_star_fan(m, n)
 
 
 def star_fan_lower_special(n: int) -> tuple[TwoColoring, ConstructionParams]:
@@ -138,12 +141,7 @@ def star_fan_lower_special(n: int) -> tuple[TwoColoring, ConstructionParams]:
     """
     if n < 2:
         raise UnsupportedRangeError(f"need n >= 2, got n={n}")
-    m = 2 * n
-    a, b = _block_sizes(m, n)
-    if a < 1 or b < 1:
-        raise UnsupportedRangeError(f"degenerate block sizes a={a}, b={b} for n={n}")
-    sigma = m + n - 1 - a - 2 * b
-    return _assemble_star_fan(m, n, a, b, sigma, 3)
+    return _assemble_star_fan(2 * n, n, window=3)
 
 
 def chromatic_lower(n: int) -> TwoColoring:
@@ -216,13 +214,18 @@ class DiracThreshold:
 
 def dirac_threshold(n: int, k: int) -> DiracThreshold:
     """Three-regime degree threshold; the middle case carries an unresolved
-    additive constant and is flagged as such."""
+    additive constant and is flagged as such. Raises UnsupportedRangeError
+    when the threshold exceeds the float range."""
     if k < 1 or 2 * k + 1 > n:
         raise UnsupportedRangeError(f"need 1 <= k and 2k+1 <= n, got k={k}, n={n}")
-    if k * k < n:
-        return DiracThreshold(1, "k < sqrt(n)", (n + 1) / 2, False)
-    if 3 * k < n:
-        alpha = k / n
-        value = (1 + sqrt(1 + 16 * alpha * alpha)) / 4 * n
-        return DiracThreshold(2, "sqrt(n) <= k < n/3", value, True)
-    return DiracThreshold(3, "n/3 <= k < n/2", float(2 * k), False)
+    try:
+        if k * k < n:
+            return DiracThreshold(1, "k < sqrt(n)", (n + 1) / 2, False)
+        if 3 * k < n:
+            alpha = k / n
+            value = (1 + sqrt(1 + 16 * alpha * alpha)) / 4 * n
+            return DiracThreshold(2, "sqrt(n) <= k < n/3", value, True)
+        return DiracThreshold(3, "n/3 <= k < n/2", float(2 * k), False)
+    except OverflowError:
+        raise UnsupportedRangeError(
+            "n, k too large: the threshold exceeds the float range") from None

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import FanExtensionError, SizeGuardError
+from .errors import FanExtensionError
 from .graphs import (
     BLUE,
     RED,
@@ -204,23 +204,24 @@ def max_blue_star(k: TwoColoring) -> tuple[int, int]:
 # Matchings in complete multipartite graphs
 # ---------------------------------------------------------------------------
 
+def _multipartite_nu(sizes: Sequence[int]) -> int:
+    """Matching number of the complete multipartite graph with these part
+    sizes: every vertex pairs up unless one part outweighs all the others."""
+    total = sum(sizes)
+    return min(total // 2, total - max(sizes, default=0))
+
+
 def multipartite_matching_bound(spec: MultipartiteSpec) -> int:
     """Vertices covered by a maximum matching of the complete multipartite graph."""
     if spec.t < 2:
         raise ValueError("need at least two parts")
-    sizes = spec.part_sizes
-    total = spec.total
-    if spec.t == 2:
-        return 2 * sizes[0]
-    if 2 * sizes[-1] <= total:
-        return 2 * (total // 2)
-    return 2 * (total - sizes[-1])
+    return 2 * _multipartite_nu(spec.part_sizes)
 
 
 def multipartite_matching(parts: Sequence[Iterable[int]]) -> list[tuple[int, int]]:
     """Maximum matching between given parts, pairing the two largest each round."""
     pools = [deque(sorted(p)) for p in parts]
-    sizes = sorted(len(p) for p in pools)
+    expect = _multipartite_nu([len(p) for p in pools])
     edges: list[tuple[int, int]] = []
     while True:
         order = sorted(range(len(pools)), key=lambda i: (-len(pools[i]), i))
@@ -229,8 +230,6 @@ def multipartite_matching(parts: Sequence[Iterable[int]]) -> list[tuple[int, int
         u = pools[order[0]].popleft()
         w = pools[order[1]].popleft()
         edges.append((min(u, w), max(u, w)))
-    total = sum(sizes)
-    expect = min(total // 2, total - sizes[-1]) if sizes else 0
     if len(edges) != expect:
         raise AssertionError("multipartite pairing fell short of the matching number")
     return edges
@@ -315,6 +314,17 @@ def _coverage(m: Matching, block: frozenset[int]) -> int:
     return sum(1 for e in m.edges for u in e if u in block)
 
 
+def _allowed_edges(inst: FanExtensionInstance, case: str,
+                   v: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The case's edge rule, as (N(v) cap Z, cross block): an allowed edge has
+    one end in N(v) cap Z and the other there too or in the cross block,
+    which is X u Y in case (i) and Y in cases (ii) and (iii)."""
+    if case not in ("i", "ii", "iii"):
+        raise ValueError(f"case must be 'i', 'ii', or 'iii', got {case!r}")
+    cross_block = (inst.x | inst.y) if case == "i" else inst.y
+    return inst.host.neighbor_set(v) & inst.z, cross_block
+
+
 def _audit_extension(inst: FanExtensionInstance, case: str, v: int, m: Matching) -> int:
     """Check every case hypothesis, collecting one message per failure."""
     failures = []
@@ -326,8 +336,7 @@ def _audit_extension(inst: FanExtensionInstance, case: str, v: int, m: Matching)
         m.validate(inst.host)
     except ValueError as exc:
         failures.append(f"matching invalid: {exc}")
-    nv_z = inst.host.neighbor_set(v) & inst.z
-    cross_block = (inst.x | inst.y) if case == "i" else inst.y
+    nv_z, cross_block = _allowed_edges(inst, case, v)
     for u, w in m.edges:
         if u in nv_z and w in nv_z:
             continue
@@ -352,15 +361,13 @@ def _audit_extension(inst: FanExtensionInstance, case: str, v: int, m: Matching)
         if not yzc > 2 * (q + lam):
             failures.append(f"case (ii) needs Y u Z coverage > 2(q + lambda): "
                             f"{yzc} <= {2 * (q + lam)}")
-    elif case == "iii":
+    else:  # case (iii): _allowed_edges has rejected every other name
         if not y_size >= inst.n:
             failures.append(f"case (iii) needs |Y| >= n: {y_size} < {inst.n}")
         yzc = _coverage(m, inst.y | inst.z)
         if not yzc >= 2 * (inst.n - x_size + lam):
             failures.append(f"case (iii) needs Y u Z coverage >= 2(n - |X| + lambda): "
                             f"{yzc} < {2 * (inst.n - x_size + lam)}")
-    else:
-        raise ValueError(f"case must be 'i', 'ii', or 'iii', got {case!r}")
     if failures:
         raise FanExtensionError(failures)
     return part_index
@@ -371,26 +378,28 @@ def _fan_within_multipartite(inst: FanExtensionInstance) -> FanWitness | None:
     parts = [sorted(p) for p in inst.x_parts]
     if inst.y:
         parts.append(sorted(inst.y))
-    sizes = [len(p) for p in parts]
-    total = sum(sizes)
     for idx, part in enumerate(parts):
-        rest = total - sizes[idx]
-        largest = max(s for i, s in enumerate(sizes) if i != idx) if len(sizes) > 1 else 0
-        if min(rest // 2, rest - largest) >= inst.n:
-            center = part[0]
-            spokes = multipartite_matching([p for i, p in enumerate(parts) if i != idx])
-            return FanWitness(center, spokes[:inst.n])
+        others = parts[:idx] + parts[idx + 1:]
+        if _multipartite_nu([len(p) for p in others]) >= inst.n:
+            return FanWitness(part[0], multipartite_matching(others)[:inst.n])
     return None
+
+
+def _z_first(edges: Sequence[tuple[int, int]], z: frozenset[int]) -> list[tuple[int, int]]:
+    """The edges inside Z in sorted order, then the others in sorted order.
+
+    After _audit_extension every matching edge has an end in N(v) cap Z, so
+    the others are exactly the edges with one end in Z.
+    """
+    return sorted(edges, key=lambda e: (not (e[0] in z and e[1] in z), e))
 
 
 def _take_by_z_coverage(edges: Sequence[tuple[int, int]], z: frozenset[int],
                         target: int) -> list[tuple[int, int]]:
     """Internal-first prefix reaching the requested Z coverage."""
-    internal = sorted(e for e in edges if e[0] in z and e[1] in z)
-    cross = sorted(e for e in edges if (e[0] in z) != (e[1] in z))
     taken = []
     covered = 0
-    for e in internal + cross:
+    for e in _z_first(edges, z):
         if covered >= target:
             break
         taken.append(e)
@@ -400,9 +409,7 @@ def _take_by_z_coverage(edges: Sequence[tuple[int, int]], z: frozenset[int],
 
 def _take_count(edges: Sequence[tuple[int, int]], z: frozenset[int],
                 count: int) -> list[tuple[int, int]]:
-    internal = sorted(e for e in edges if e[0] in z and e[1] in z)
-    cross = sorted(e for e in edges if not (e[0] in z and e[1] in z))
-    picked = (internal + cross)[:count]
+    picked = _z_first(edges, z)[:count]
     if len(picked) < count:
         raise AssertionError(f"matching too small: need {count} edges, have {len(edges)}")
     return picked
@@ -420,7 +427,6 @@ def fan_extend(inst: FanExtensionInstance, case: str, v: int, m: Matching) -> Fa
     q = inst.q
     n = inst.n
 
-    taken: list[tuple[int, int]]
     if case == "i":
         usable = [e for e in m.edges if e[0] not in xi and e[1] not in xi]
         if q < 0:
@@ -429,16 +435,12 @@ def fan_extend(inst: FanExtensionInstance, case: str, v: int, m: Matching) -> Fa
                 validate_fan_witness(inst.host, w, n)
                 return w
         taken = _take_by_z_coverage(usable, inst.z, max(0, q + len(xi) + 1))
-        taken_set = set(taken)
-        leftovers = [e for e in usable if e not in taken_set]
-    elif case == "ii":
-        taken = _take_count(m.edges, inst.z, max(0, q + len(xi) + 1))
-        taken_set = set(taken)
-        leftovers = [e for e in m.edges if e not in taken_set]
     else:
-        taken = _take_count(m.edges, inst.z, max(0, n - len(inst.x) + len(xi)))
-        taken_set = set(taken)
-        leftovers = [e for e in m.edges if e not in taken_set]
+        usable = m.edges
+        count = q + len(xi) + 1 if case == "ii" else n - len(inst.x) + len(xi)
+        taken = _take_count(usable, inst.z, max(0, count))
+    taken_set = set(taken)
+    leftovers = [e for e in usable if e not in taken_set]
 
     used = {v} | {x for e in taken for x in e}
     residual_parts = [sorted(p - used) for i, p in enumerate(inst.x_parts) if i != part_index]
@@ -463,10 +465,7 @@ def fan_extend(inst: FanExtensionInstance, case: str, v: int, m: Matching) -> Fa
 
 def find_extension_matching(inst: FanExtensionInstance, case: str, v: int) -> Matching:
     """Convenience search for a candidate M: maximum matching of the allowed edges."""
-    if case not in ("i", "ii", "iii"):
-        raise ValueError(f"case must be 'i', 'ii', or 'iii', got {case!r}")
-    nv_z = inst.host.neighbor_set(v) & inst.z
-    cross_block = (inst.x | inst.y) if case == "i" else inst.y
+    nv_z, cross_block = _allowed_edges(inst, case, v)
     edges = []
     for u in sorted(nv_z):
         for w in inst.host.neighbors(u):
@@ -479,7 +478,7 @@ def find_extension_matching(inst: FanExtensionInstance, case: str, v: int) -> Ma
 
 
 # ---------------------------------------------------------------------------
-# High-degree fans and the cycle oracle
+# High-degree fans
 # ---------------------------------------------------------------------------
 
 def high_degree_fan(k: TwoColoring, n: int) -> tuple[str, FanWitness] | None:
@@ -514,30 +513,3 @@ def high_degree_fan(k: TwoColoring, n: int) -> tuple[str, FanWitness] | None:
     if result is None:
         raise RuntimeError("degree 3n vertex present but no monochromatic fan found")
     return result
-
-
-CYCLE_VERTEX_GUARD = 12
-
-
-def cycle_oracle(g: Graph, length: int) -> bool:
-    """Exhaustive test for a cycle of the given length."""
-    if g.n > CYCLE_VERTEX_GUARD:
-        raise SizeGuardError(f"cycle oracle limited to {CYCLE_VERTEX_GUARD} vertices, got {g.n}")
-    if length < 3 or length > g.n:
-        return False
-
-    def dfs(start: int, v: int, depth: int, visited: set[int]) -> bool:
-        if depth == length:
-            return g.has_edge(v, start)
-        for u in g.neighbors(v):
-            if u > start and u not in visited:
-                visited.add(u)
-                if dfs(start, u, depth + 1, visited):
-                    return True
-                visited.remove(u)
-        return False
-
-    for start in range(g.n):
-        if dfs(start, start, 1, {start}):
-            return True
-    return False

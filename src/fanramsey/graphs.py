@@ -95,7 +95,9 @@ class Graph:
         return max(self.degrees())
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= v and self.bits[u] >> v & 1 == 1
+        """False for a pair with an id outside 0..n-1, so that a negative id
+        cannot index a row from the end."""
+        return 0 <= u < self.n and 0 <= v and self.bits[u] >> v & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self._sorted[u] if u < v]
@@ -113,18 +115,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count()})"
-
-
-def validate_graph(g: Graph) -> None:
-    """Assert adjacency symmetry, loop-freeness, and id range; used by tests."""
-    for v in range(g.n):
-        for u in g.neighbors(v):
-            if not 0 <= u < g.n:
-                raise AssertionError(f"neighbor {u} of {v} out of range")
-            if u == v:
-                raise AssertionError(f"self-loop at {v}")
-            if v not in g.neighbor_set(u):
-                raise AssertionError(f"asymmetric edge ({v}, {u})")
 
 
 def complement(g: Graph) -> Graph:

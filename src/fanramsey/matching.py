@@ -1,21 +1,17 @@
 """Maximum matchings, deficiency, Konig covers, and Edmonds-Gallai structure.
 
 Every algorithm scans vertices and neighbors in ascending id order so that
-returned witnesses are reproducible. Small-instance oracles (brute_matching,
-enumerate_maximum_matchings) back the fast paths in tests.
+returned witnesses are reproducible. The tests check the fast paths against
+exhaustive oracles kept in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import SizeGuardError
 from .graphs import Graph, TwoColoring, induced, opposite
-
-BRUTE_VERTEX_GUARD = 24
 
 
 @dataclass(frozen=True)
@@ -170,78 +166,6 @@ def max_matching(g: Graph) -> Matching:
 
 def matching_number(g: Graph) -> int:
     return max_matching(g).size
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive oracles
-# ---------------------------------------------------------------------------
-
-def brute_matching(g: Graph) -> Matching:
-    """Maximum matching by bitmask DP; guard keeps the state space honest."""
-    if g.n > BRUTE_VERTEX_GUARD:
-        raise SizeGuardError(f"brute_matching limited to {BRUTE_VERTEX_GUARD} vertices, got {g.n}")
-    adj = g.bits
-
-    @lru_cache(maxsize=None)
-    def best(mask: int) -> int:
-        if mask == 0:
-            return 0
-        v = (mask & -mask).bit_length() - 1
-        result = best(mask & ~(1 << v))
-        avail = adj[v] & mask
-        while avail:
-            u = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            result = max(result, 1 + best(mask & ~(1 << v) & ~(1 << u)))
-        return result
-
-    edges: list[tuple[int, int]] = []
-    mask = (1 << g.n) - 1
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        target = best(mask)
-        if best(mask & ~(1 << v)) == target:
-            mask &= ~(1 << v)
-            continue
-        avail = adj[v] & mask
-        while avail:
-            u = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            if 1 + best(mask & ~(1 << v) & ~(1 << u)) == target:
-                edges.append((v, u))
-                mask &= ~(1 << v) & ~(1 << u)
-                break
-    best.cache_clear()
-    return Matching(edges)
-
-
-def enumerate_maximum_matchings(g: Graph) -> list[Matching]:
-    """All maximum matchings, by branching on the lowest undecided vertex."""
-    if g.n > 16:
-        raise SizeGuardError(f"enumeration limited to 16 vertices, got {g.n}")
-    target = brute_matching(g).size
-    adj = g.bits
-    out: list[Matching] = []
-
-    def rec(mask: int, acc: list[tuple[int, int]]) -> None:
-        if len(acc) + bin(mask).count("1") // 2 < target:
-            return
-        if mask == 0:
-            if len(acc) == target:
-                out.append(Matching(acc))
-            return
-        v = (mask & -mask).bit_length() - 1
-        rec(mask & ~(1 << v), acc)
-        avail = adj[v] & mask
-        while avail:
-            u = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            acc.append((v, u))
-            rec(mask & ~(1 << v) & ~(1 << u), acc)
-            acc.pop()
-
-    rec((1 << g.n) - 1, [])
-    return sorted(out, key=lambda m: m.edges)
 
 
 # ---------------------------------------------------------------------------

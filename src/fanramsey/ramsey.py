@@ -9,14 +9,15 @@ backtracking over edge colorings with incremental forbidden-subgraph checks.
 from __future__ import annotations
 
 import multiprocessing
-from collections.abc import Iterator
+import os
+from collections.abc import Callable, Iterator
 from itertools import repeat
 from dataclasses import dataclass, field
-from math import isfinite, sqrt
+from math import inf, isfinite, sqrt
 
-from .errors import SizeGuardError
+from .errors import SizeGuardError, UnsupportedRangeError
 from .fans import find_fan, max_blue_star
-from .graphs import TwoColoring
+from .graphs import Graph, TwoColoring
 
 Target = tuple[str, int]
 
@@ -59,6 +60,13 @@ class WitnessReport:
                 "bound_implied": self.bound_implied}
 
 
+def _no_fan_claim(color: str, g: Graph, n: int) -> Claim:
+    """The claim "no <color> F_n", decided by the exact fan search; a fan
+    found is its certificate."""
+    w = find_fan(g, n)
+    return Claim(f"no {color} F_{n}", w is None, None if w is None else w.to_json_dict())
+
+
 def verify_star_fan_witness(k: TwoColoring, m: int, n: int) -> WitnessReport:
     """Check a coloring against blue K_{1,m} and red F_n; certify R >= N+1."""
     if k.n < 1:
@@ -75,9 +83,7 @@ def verify_star_fan_witness(k: TwoColoring, m: int, n: int) -> WitnessReport:
     claims.append(Claim(f"red min degree >= {required}", min_red >= required,
                         {"vertex": min_v, "red_degree": min_red,
                          "required": required}))
-    w = find_fan(k.red, n)
-    claims.append(Claim(f"no red F_{n}", w is None,
-                        w.to_json_dict() if w is not None else None))
+    claims.append(_no_fan_claim("red", k.red, n))
     bound = None
     if all(c.holds for c in claims):
         bound = f"R(K_{{1,{m}}}, F_{n}) >= {k.n + 1}"
@@ -90,13 +96,9 @@ def verify_fan_fan_witness(k: TwoColoring, n: int) -> WitnessReport:
         raise ValueError("empty coloring")
     if n < 1:
         raise ValueError("n must be positive")
-    claims = []
-    for color, g in (("red", k.red), ("blue", k.blue)):
-        w = find_fan(g, n)
-        claims.append(Claim(f"no {color} F_{n}", w is None,
-                            w.to_json_dict() if w is not None else None))
+    claims = (_no_fan_claim("red", k.red, n), _no_fan_claim("blue", k.blue, n))
     bound = f"R(F_{n}) >= {k.n + 1}" if all(c.holds for c in claims) else None
-    return WitnessReport(k.n, "fan-fan", tuple(claims), bound)
+    return WitnessReport(k.n, "fan-fan", claims, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -126,29 +128,43 @@ class FormulaResult:
 
 def star_fan_formula(m: int, n: int) -> FormulaResult:
     """R(K_{1,m}, F_n) by regime: exact for m <= n and m >= n(n-1), a bound
-    pair with additive slack (-8, +1) around (3m + sqrt(m^2+8n^2))/2 between."""
+    pair with additive slack (-8, +1) around (3m + sqrt(m^2+8n^2))/2 between.
+    Raises UnsupportedRangeError when a value exceeds the float range."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    if m <= n:
-        value = float(m + 2 * n - (1 + (-1) ** m) // 2)
-        return FormulaResult("m <= n", value, value, True)
-    if m >= n * (n - 1):
-        value = float(2 * m + 1)
-        return FormulaResult("m >= n(n-1)", value, value, True)
-    base = (3 * m + sqrt(m * m + 8.0 * n * n)) / 2
-    return FormulaResult("n < m < n(n-1)", base - 8, base + 1, False)
+    try:
+        if m <= n:
+            value = float(m + 2 * n - (1 + (-1) ** m) // 2)
+            return FormulaResult("m <= n", value, value, True)
+        if m >= n * (n - 1):
+            value = float(2 * m + 1)
+            return FormulaResult("m >= n(n-1)", value, value, True)
+        base = (3 * m + sqrt(m * m + 8.0 * n * n)) / 2
+        if isfinite(base):
+            return FormulaResult("n < m < n(n-1)", base - 8, base + 1, False)
+    except OverflowError:
+        pass
+    raise UnsupportedRangeError("m, n too large: the bounds exceed the float range")
 
 
 def fan_ramsey_bounds(n: int, epsilon: float) -> FormulaResult:
     """Bounds for R(F_n): lower (3+sqrt(3))n - 8 always, upper (5+eps)n only
-    once n >= 384/eps^2; the gate is reported on the result, never dropped."""
+    once n >= 384/eps^2; the gate is reported on the result, never dropped.
+    Raises UnsupportedRangeError when a bound exceeds the float range."""
     if n < 1:
         raise ValueError("n must be positive")
     if not (isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be positive and finite")
-    lower = (3 + sqrt(3)) * n - 8
-    upper = (5 + epsilon) * n
-    gate = 384 / (epsilon * epsilon)
+    try:
+        lower = (3 + sqrt(3)) * n - 8
+        upper = (5 + epsilon) * n
+    except OverflowError:
+        lower = upper = inf
+    if not isfinite(upper):
+        raise UnsupportedRangeError("n, epsilon too large: the bounds exceed the float range")
+    eps2 = epsilon * epsilon
+    # an eps^2 that underflows to 0 puts the gate past every n
+    gate = 384 / eps2 if eps2 else inf
     ok = n >= gate
     note = (f"upper bound requires n >= 384/epsilon^2 = {gate:g}: "
             f"{'satisfied' if ok else 'NOT satisfied'}")
@@ -259,17 +275,19 @@ _PREFIXES_PER_WORKER = 32
 
 
 def _search(blue_t: Target, red_t: Target, order: list[tuple[int, int]],
-            idx: int, blue: list[int], red: list[int], ticks: Iterator) -> bool:
+            idx: int, blue: list[int], red: list[int], ticks: Iterator,
+            leaf: Callable[[list[int]], object] | None = None) -> bool:
     """True iff some completion of the partial coloring avoids both targets.
 
     Blue is tried before red; edges to vertex 0 are forced non-increasing
     (blue block first) since permuting vertices 1..n-1 preserves avoidance.
     Each call takes one item of ticks, so a finite ticks is a node budget
-    and StopIteration from it means the budget ran out.
+    and StopIteration from it means the budget ran out. A completion is
+    accepted when leaf(blue) is truthy, or always when leaf is None.
     """
     next(ticks)
     if idx == len(order):
-        return True
+        return leaf is None or bool(leaf(blue))
     i, j = order[idx]
     for is_blue in (True, False):
         if is_blue and j == 0 and i > 1 and not (blue[i - 1] & 1):
@@ -278,7 +296,7 @@ def _search(blue_t: Target, red_t: Target, order: list[tuple[int, int]],
         adj[i] |= 1 << j
         adj[j] |= 1 << i
         ok = not _violates(adj, i, j, target)
-        if ok and _search(blue_t, red_t, order, idx + 1, blue, red, ticks):
+        if ok and _search(blue_t, red_t, order, idx + 1, blue, red, ticks, leaf):
             return True
         adj[i] &= ~(1 << j)
         adj[j] &= ~(1 << i)
@@ -289,32 +307,14 @@ def _prefixes(n: int, blue_t: Target, red_t: Target,
               order: list[tuple[int, int]], parts: int) -> list[tuple[int, ...]]:
     """The colorings of the first edges that _search would extend, at the
     least depth that gives at least `parts` of them, or at full depth."""
-    blue = [0] * n
-    red = [0] * n
-
-    def rec(idx: int, acc: list[int]) -> None:
-        if idx == depth:
-            out.append(tuple(acc))
-            return
-        i, j = order[idx]
-        for is_blue in (1, 0):
-            if is_blue and j == 0 and i > 1 and not (blue[i - 1] & 1):
-                continue
-            adj, target = (blue, blue_t) if is_blue else (red, red_t)
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-            if not _violates(adj, i, j, target):
-                acc.append(is_blue)
-                rec(idx + 1, acc)
-                acc.pop()
-            adj[i] &= ~(1 << j)
-            adj[j] &= ~(1 << i)
-
     depth, out = 0, [()]
     while out and len(out) < parts and depth < len(order):
         depth += 1
-        out = []
-        rec(0, [])
+        head, out = order[:depth], []
+        # the leaf records each coloring of head and rejects it, so the
+        # search goes on to the next one
+        _search(blue_t, red_t, head, 0, [0] * n, [0] * n, repeat(None),
+                lambda blue: out.append(tuple(blue[i] >> j & 1 for i, j in head)))
     return out
 
 
@@ -338,10 +338,10 @@ def brute_force_ramsey(blue_target: Target, red_target: Target, n_cap: int,
 
     With workers > 1, each N first runs serially under a node budget of
     about one pool start; only a search past it is split into prefixes for
-    a fork pool of `workers` processes, started at the first such N. The
-    first prefix with an avoiding coloring settles its N and stops the pool
-    with that N's other tasks; a later N forks a new one. No worker
-    outlives the call. The answer always equals the serial one.
+    a fork pool of min(workers, CPU count) processes, started at the first
+    such N. The first prefix with an avoiding coloring settles its N and
+    stops the pool with that N's other tasks; a later N forks a new one. No
+    worker outlives the call. The answer always equals the serial one.
     """
     blue_t = _check_target(blue_target)
     red_t = _check_target(red_target)
@@ -359,10 +359,13 @@ def brute_force_ramsey(blue_target: Target, red_target: Target, n_cap: int,
                 ticks = repeat(None, _POOL_NODE_BUDGET) if workers > 1 else repeat(None)
                 found = _search(blue_t, red_t, order, 0, [0] * n, [0] * n, ticks)
             except StopIteration:
+                # more processes than CPUs cannot run at once; workers > 1
+                # alone still leads here, so a one-CPU host forks a pool of one
+                size = min(workers, os.cpu_count() or 1)
                 tasks = [(n, blue_t, red_t, p) for p in _prefixes(
-                    n, blue_t, red_t, order, _PREFIXES_PER_WORKER * workers)]
+                    n, blue_t, red_t, order, _PREFIXES_PER_WORKER * size)]
                 if pool is None:
-                    pool = multiprocessing.get_context("fork").Pool(workers)
+                    pool = multiprocessing.get_context("fork").Pool(size)
                 found = any(pool.imap_unordered(_search_prefix, tasks))
                 if found:
                     # other tasks of this N may still run: stop them with the pool

@@ -1,0 +1,116 @@
+"""Exhaustive reference routines the tests compare the library against.
+
+Each one is small, slow and obviously correct, and refuses instances past
+its vertex guard. The library never calls them.
+"""
+
+from functools import lru_cache
+
+from fanramsey import Graph, Matching, SizeGuardError
+
+BRUTE_VERTEX_GUARD = 24
+CYCLE_VERTEX_GUARD = 12
+
+
+def validate_graph(g: Graph) -> None:
+    """Assert adjacency symmetry, loop-freeness, and id range."""
+    for v in range(g.n):
+        for u in g.neighbors(v):
+            if not 0 <= u < g.n:
+                raise AssertionError(f"neighbor {u} of {v} out of range")
+            if u == v:
+                raise AssertionError(f"self-loop at {v}")
+            if v not in g.neighbor_set(u):
+                raise AssertionError(f"asymmetric edge ({v}, {u})")
+
+
+def brute_matching(g: Graph) -> Matching:
+    """Maximum matching by bitmask DP; guard keeps the state space honest."""
+    if g.n > BRUTE_VERTEX_GUARD:
+        raise SizeGuardError(f"brute_matching limited to {BRUTE_VERTEX_GUARD} vertices, got {g.n}")
+    adj = g.bits
+
+    @lru_cache(maxsize=None)
+    def best(mask: int) -> int:
+        if mask == 0:
+            return 0
+        v = (mask & -mask).bit_length() - 1
+        result = best(mask & ~(1 << v))
+        avail = adj[v] & mask
+        while avail:
+            u = (avail & -avail).bit_length() - 1
+            avail &= avail - 1
+            result = max(result, 1 + best(mask & ~(1 << v) & ~(1 << u)))
+        return result
+
+    edges: list[tuple[int, int]] = []
+    mask = (1 << g.n) - 1
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        target = best(mask)
+        if best(mask & ~(1 << v)) == target:
+            mask &= ~(1 << v)
+            continue
+        avail = adj[v] & mask
+        while avail:
+            u = (avail & -avail).bit_length() - 1
+            avail &= avail - 1
+            if 1 + best(mask & ~(1 << v) & ~(1 << u)) == target:
+                edges.append((v, u))
+                mask &= ~(1 << v) & ~(1 << u)
+                break
+    best.cache_clear()
+    return Matching(edges)
+
+
+def enumerate_maximum_matchings(g: Graph) -> list[Matching]:
+    """All maximum matchings, by branching on the lowest undecided vertex."""
+    if g.n > 16:
+        raise SizeGuardError(f"enumeration limited to 16 vertices, got {g.n}")
+    target = brute_matching(g).size
+    adj = g.bits
+    out: list[Matching] = []
+
+    def rec(mask: int, acc: list[tuple[int, int]]) -> None:
+        if len(acc) + bin(mask).count("1") // 2 < target:
+            return
+        if mask == 0:
+            if len(acc) == target:
+                out.append(Matching(acc))
+            return
+        v = (mask & -mask).bit_length() - 1
+        rec(mask & ~(1 << v), acc)
+        avail = adj[v] & mask
+        while avail:
+            u = (avail & -avail).bit_length() - 1
+            avail &= avail - 1
+            acc.append((v, u))
+            rec(mask & ~(1 << v) & ~(1 << u), acc)
+            acc.pop()
+
+    rec((1 << g.n) - 1, [])
+    return sorted(out, key=lambda m: m.edges)
+
+
+def cycle_oracle(g: Graph, length: int) -> bool:
+    """Exhaustive test for a cycle of the given length."""
+    if g.n > CYCLE_VERTEX_GUARD:
+        raise SizeGuardError(f"cycle oracle limited to {CYCLE_VERTEX_GUARD} vertices, got {g.n}")
+    if length < 3 or length > g.n:
+        return False
+
+    def dfs(start: int, v: int, depth: int, visited: set[int]) -> bool:
+        if depth == length:
+            return g.has_edge(v, start)
+        for u in g.neighbors(v):
+            if u > start and u not in visited:
+                visited.add(u)
+                if dfs(start, u, depth + 1, visited):
+                    return True
+                visited.remove(u)
+        return False
+
+    for start in range(g.n):
+        if dfs(start, start, 1, {start}):
+            return True
+    return False

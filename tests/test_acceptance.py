@@ -10,6 +10,7 @@ import random
 import time
 from math import isqrt, sqrt
 
+from oracles import cycle_oracle
 from test_bigraphic import non_increasing, realizable_pairs
 from test_matching import all_graphs, check_eg, random_graph
 
@@ -25,7 +26,6 @@ from fanramsey import (
     brute_force_ramsey,
     build_complete_multipartite,
     chromatic_lower,
-    cycle_oracle,
     fan_extend,
     high_degree_fan,
     is_bigraphic,

@@ -319,6 +319,26 @@ class TestFormula:
     def test_dirac_range_exits_2(self, capsys):
         assert main(["formula", "dirac", "--n", "10", "--k", "5"]) == 2
 
+    def test_fan_underflowed_epsilon_reports_gate_not_met(self, capsys):
+        # 1e-300 squared underflows to 0; the gate is past every n
+        code, data = run_json(capsys, ["formula", "fan",
+                                       "--n", "5", "--epsilon", "1e-300"])
+        assert code == 0
+        assert data["upper_valid"] is False
+        assert "NOT satisfied" in data["notes"][0]
+
+    # each of these exited 1 with an OverflowError traceback before
+    @pytest.mark.parametrize("argv", [
+        ["star-fan", "--m", str(10**400), "--n", "3"],
+        ["dirac", "--n", str(10**400), "--k", "2"],
+        ["fan", "--n", str(10**400), "--epsilon", "1"],
+    ], ids=["star-fan", "dirac", "fan"])
+    def test_beyond_the_float_range_exits_2(self, capsys, argv):
+        assert main(["formula", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "float range" in captured.err
+
 
 def test_console_script_installed():
     exe = shutil.which("fanramsey")

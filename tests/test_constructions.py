@@ -13,6 +13,7 @@ from fanramsey import (
     star_fan_lower_special,
     turan_lower,
 )
+from fanramsey import constructions
 
 
 class TestStarFanLower:
@@ -87,6 +88,21 @@ class TestStarFanSpecial:
         k, params = star_fan_lower_special(5)
         assert (params.m, params.a, params.b, params.N) == (10, 7, 2, 18)
         assert k.n == 18
+
+    def test_fixed_window_of_three(self, monkeypatch):
+        # at n = 4 sigma is 4: the special builder still realizes window 3,
+        # the general one window sigma (both colorings happen to coincide)
+        windows = []
+        realize = constructions.realize_interval
+
+        def recording(params):
+            windows.append(params.sigma)
+            return realize(params)
+
+        monkeypatch.setattr(constructions, "realize_interval", recording)
+        assert star_fan_lower_special(4)[1].sigma == 4
+        assert star_fan_lower(8, 4)[1].sigma == 4
+        assert windows == [3, 4]
 
     def test_matches_general_builder(self):
         for n in (*range(4, 25), 31, 45, 60):

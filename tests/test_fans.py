@@ -16,10 +16,8 @@ from fanramsey import (
     MultipartiteSpec,
     SizeGuardError,
     TwoColoring,
-    brute_matching,
     build_complete_multipartite,
     chromatic_lower,
-    cycle_oracle,
     fan_extend,
     find_extension_matching,
     find_fan,
@@ -34,6 +32,7 @@ from fanramsey import (
     validate_fan_witness,
 )
 from fanramsey import fans
+from oracles import brute_matching, cycle_oracle
 
 
 def random_graph(rng, n, p=0.5):
@@ -81,6 +80,13 @@ class TestFanWitness:
         g = Graph(3, [(0, 1), (0, 2), (1, 2)])
         with pytest.raises(ValueError):
             validate_fan_witness(g, FanWitness(0, [(1, 2)]), 2)
+
+    @pytest.mark.parametrize("center, spokes", [(-1, [(0, 1)]), (4, [(0, 1)]),
+                                                (0, [(1, -1)]), (0, [(1, 4)])])
+    def test_validate_rejects_ids_outside_the_graph(self, center, spokes):
+        k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+        with pytest.raises(ValueError, match="not adjacent"):
+            validate_fan_witness(k4, FanWitness(center, spokes))
 
 
 class TestFindFan:

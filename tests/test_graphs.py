@@ -20,7 +20,6 @@ from fanramsey import (
     opposite,
     read_coloring,
     read_graph,
-    validate_graph,
     write_coloring,
     write_graph,
 )
@@ -48,15 +47,20 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
 
+    def test_has_edge_false_outside_the_id_range(self):
+        # a negative id must not index a row from the end, and an id >= n
+        # is no vertex rather than an IndexError
+        g = Graph(3, [(0, 2), (1, 2)])
+        assert g.has_edge(2, 0)
+        for u, v in ((-1, 0), (0, -1), (-3, 2), (3, 0), (0, 3), (7, -7)):
+            assert not g.has_edge(u, v)
+
     def test_equality_and_hash(self):
         g1 = Graph(3, [(0, 1)])
         g2 = Graph(3, [(1, 0)])
         assert g1 == g2
         assert hash(g1) == hash(g2)
         assert g1 != Graph(4, [(0, 1)])
-
-    def test_validate_graph(self):
-        validate_graph(Graph(5, [(0, 4), (2, 3)]))
 
     def test_bits_agree_with_rows(self):
         rng = random.Random(17)

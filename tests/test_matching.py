@@ -9,17 +9,16 @@ from fanramsey import (
     Graph,
     Matching,
     TwoColoring,
-    brute_matching,
     build_complete_multipartite,
     MultipartiteSpec,
     edmonds_gallai,
     eg_neighborhood_structure,
-    enumerate_maximum_matchings,
     konig_cover,
     matching_number,
     max_matching,
     star_fan_lower,
 )
+from oracles import brute_matching, enumerate_maximum_matchings
 
 
 def random_graph(rng, n, p=0.5):
@@ -110,6 +109,12 @@ class TestMatchingObject:
         g = Graph(4, [(0, 1)])
         with pytest.raises(ValueError):
             Matching([(2, 3)]).validate(g)
+
+    @pytest.mark.parametrize("edge", [(-1, 0), (0, 3), (3, 4)])
+    def test_validate_rejects_ids_outside_the_graph(self, edge):
+        g = Graph(3, [(0, 2), (1, 2)])
+        with pytest.raises(ValueError, match="not in graph"):
+            Matching([edge]).validate(g)
 
     def test_size_and_vertices(self):
         m = Matching([(3, 1), (0, 2)])

@@ -339,13 +339,13 @@ class TestPoolPath:
         first = ramsey._prefixes(n, fan2, fan2, order5, 64)[0]
         parent, search, stalled = os.getpid(), ramsey._search, []
 
-        def stalling(blue_t, red_t, order, idx, blue, red, budget):
+        def stalling(blue_t, red_t, order, idx, blue, red, budget, leaf=None):
             if (os.getpid() != parent and not stalled and order == order5
                     and idx == len(first)
                     and tuple(blue[i] >> j & 1 for i, j in order[:idx]) != first):
                 stalled.append(idx)
                 time.sleep(10)
-            return search(blue_t, red_t, order, idx, blue, red, budget)
+            return search(blue_t, red_t, order, idx, blue, red, budget, leaf)
 
         monkeypatch.setattr(ramsey, "_search", stalling)
         start = time.perf_counter()
@@ -367,3 +367,59 @@ class TestPoolPath:
             brute_force_ramsey(("star", 2), ("fan", 2), 9, workers=2)
         assert pools
         assert not multiprocessing.active_children()
+
+
+class TestPoolSize:
+    """The pool and the prefix count follow min(workers, CPU count).
+
+    get_context is replaced by a fake whose Pool records its size and runs
+    every task inline, so no process is started.
+    """
+
+    @pytest.fixture
+    def inline(self, monkeypatch):
+        monkeypatch.setattr(ramsey, "_POOL_NODE_BUDGET", 0)
+        sizes, parts = [], []
+
+        class InlinePool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def imap_unordered(self, func, tasks):
+                return map(func, tasks)
+
+            def terminate(self):
+                pass
+
+            def join(self):
+                pass
+
+        class Context:
+            Pool = InlinePool
+
+        prefixes = ramsey._prefixes
+
+        def recording(n, blue_t, red_t, order, count):
+            parts.append(count)
+            return prefixes(n, blue_t, red_t, order, count)
+
+        monkeypatch.setattr(ramsey.multiprocessing, "get_context", lambda method: Context)
+        monkeypatch.setattr(ramsey, "_prefixes", recording)
+        return sizes, parts
+
+    @pytest.mark.parametrize("cpus, size", [(3, 3), (None, 1), (1, 1)])
+    def test_huge_worker_count_is_cut_to_the_cpus(self, inline, monkeypatch, cpus, size):
+        sizes, parts = inline
+        monkeypatch.setattr(ramsey.os, "cpu_count", lambda: cpus)
+        serial = brute_force_ramsey(("star", 2), ("fan", 2), 9)
+        multi = brute_force_ramsey(("star", 2), ("fan", 2), 9, workers=10**6)
+        assert multi.to_json_dict() == serial.to_json_dict()
+        assert sizes and set(sizes) == {size}
+        assert parts and set(parts) == {ramsey._PREFIXES_PER_WORKER * size}
+
+    def test_fewer_workers_than_cpus_kept(self, inline, monkeypatch):
+        sizes, parts = inline
+        monkeypatch.setattr(ramsey.os, "cpu_count", lambda: 64)
+        brute_force_ramsey(("star", 2), ("fan", 2), 9, workers=2)
+        assert set(sizes) == {2}
+        assert set(parts) == {ramsey._PREFIXES_PER_WORKER * 2}
