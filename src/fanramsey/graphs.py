@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -73,13 +74,15 @@ class Graph:
         return self._bits
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for {self.n} vertices")
         return self._sorted[v]
 
     def neighbor_set(self, v: int) -> frozenset[int]:
-        return frozenset(self._sorted[v])
+        return frozenset(self.neighbors(v))
 
     def degree(self, v: int) -> int:
-        return len(self._sorted[v])
+        return len(self.neighbors(v))
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(map(len, self._sorted))
@@ -140,8 +143,22 @@ def induced(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     # tuple(list), not tuple(generator): CPython grows a generator's tuple
     # from 10 slots, and the resized tuples pile up in its per-size free
     # lists (+2 MB peak RSS on the decompose benchmark when they did)
-    rows = tuple(tuple([index[u] for u in g.neighbors(v) if u in index]) for v in keep)
+    rows = tuple(tuple([index[u] for u in g._sorted[v] if u in index]) for v in keep)
     return Graph._from_rows(rows), tuple(keep)
+
+
+def _isolate(g: Graph, v: int) -> Graph:
+    """g with the edges at v removed: the same ids, v isolated.
+
+    Only v's row and its neighbours' rows are copied; the rest are shared.
+    """
+    rows = list(g._sorted)
+    for u in rows[v]:
+        row = rows[u]
+        i = bisect_left(row, v)
+        rows[u] = row[:i] + row[i + 1:]
+    rows[v] = ()
+    return Graph._from_rows(tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Graph, TwoColoring, induced, opposite
+from .graphs import Graph, TwoColoring, _isolate, induced, opposite
 
 
 @dataclass(frozen=True)
@@ -79,15 +79,21 @@ class EGPartition:
 # Maximum matching (blossom contraction)
 # ---------------------------------------------------------------------------
 
-def _find_augmenting_path(g: Graph, match: list[int], parent: list[int], root: int) -> int:
+def _find_augmenting_path(rows: Sequence[tuple[int, ...]], match: list[int],
+                          parent: list[int], root: int) -> int:
     """BFS for an augmenting path from root, contracting blossoms via base[].
 
+    ``members`` maps a blossom's base to the int mask of the vertices with
+    that base; a base missing from it is a single vertex. A contraction
+    walks the mask of the vertices that join the blossom, in the ascending
+    order a scan over all n would visit them, and touches no others.
     Returns the free endpoint of the path, or -1 when none exists.
     """
-    n = g.n
+    n = len(rows)
     used = [False] * n
     parent[:] = [-1] * n
     base = list(range(n))
+    members: dict[int, int] = {}
     used[root] = True
     queue = deque([root])
 
@@ -107,60 +113,90 @@ def _find_augmenting_path(g: Graph, match: list[int], parent: list[int], root: i
                 return y
             y = parent[match[y]]
 
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int) -> int:
+        """Set parents along the path from v up to base b; return the mask
+        of every vertex whose blossom the path passes through."""
+        mask = 0
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+            mv = match[v]
+            mask |= members.pop(base[v], 1 << base[v]) | members.pop(base[mv], 1 << base[mv])
             parent[v] = child
-            child = match[v]
-            v = parent[match[v]]
+            child = mv
+            v = parent[mv]
+        return mask
 
     while queue:
         v = queue.popleft()
-        for to in g.neighbors(v):
-            if base[v] == base[to] or match[v] == to:
+        mv = match[v]
+        bv = base[v]
+        for to in rows[v]:
+            if bv == base[to] or mv == to:
                 continue
-            if to == root or (match[to] != -1 and parent[match[to]] != -1):
+            mt = match[to]
+            if to == root or (mt != -1 and parent[mt] != -1):
                 curbase = lca(v, to)
-                blossom = [False] * n
-                mark_path(v, curbase, to, blossom)
-                mark_path(to, curbase, v, blossom)
-                for i in range(n):
-                    if blossom[base[i]]:
-                        base[i] = curbase
-                        if not used[i]:
-                            used[i] = True
-                            queue.append(i)
+                # curbase's own members already carry that base and are used,
+                # so only the vertices of the other blossoms need a visit
+                old = members.pop(curbase, 1 << curbase)
+                mask = (mark_path(v, curbase, to) | mark_path(to, curbase, v)) & ~old
+                members[curbase] = old | mask
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    i = low.bit_length() - 1
+                    base[i] = curbase
+                    if not used[i]:
+                        used[i] = True
+                        queue.append(i)
+                bv = curbase
             elif parent[to] == -1:
                 parent[to] = v
-                if match[to] == -1:
+                if mt == -1:
                     return to
-                used[match[to]] = True
-                queue.append(match[to])
+                used[mt] = True
+                queue.append(mt)
     return -1
 
 
 def max_matching(g: Graph) -> Matching:
-    """Maximum matching in a general graph, deterministic ascending-id scans."""
+    """Maximum matching in a general graph, deterministic ascending-id scans.
+
+    A greedy pass matches each vertex to its first free neighbour; then an
+    augmenting path is searched from each exposed vertex that has a
+    neighbour, in ascending order. The searches stop once no such vertex is
+    left after the current root: a path from v must end at a later exposed
+    vertex, because an earlier one whose search failed keeps having no
+    augmenting path after later augmentations (Edmonds 1965). The skipped
+    searches would all have failed, so the edges do not depend on the stop.
+    """
+    rows = g._sorted
     n = g.n
     match = [-1] * n
     for v in range(n):
         if match[v] == -1:
-            for u in g.neighbors(v):
+            for u in rows[v]:
                 if match[u] == -1:
                     match[v] = u
                     match[u] = v
                     break
+    roots = [v for v in range(n) if match[v] == -1 and rows[v]]
+    left = len(roots)  # exposed vertices with a neighbour, from the root on
     parent = [-1] * n
-    for v in range(n):
-        if match[v] == -1:
-            end = _find_augmenting_path(g, match, parent, v)
-            while end != -1:
-                prev = parent[end]
-                after = match[prev]
-                match[end] = prev
-                match[prev] = end
-                end = after
+    for v in roots:
+        if match[v] != -1:
+            continue
+        left -= 1
+        if left == 0:
+            break
+        end = _find_augmenting_path(rows, match, parent, v)
+        if end != -1:
+            left -= 1
+        while end != -1:
+            prev = parent[end]
+            after = match[prev]
+            match[end] = prev
+            match[prev] = end
+            end = after
     return Matching((v, match[v]) for v in range(n) if match[v] > v)
 
 
@@ -199,13 +235,8 @@ def edmonds_gallai(g: Graph) -> EGPartition:
     the components of G - A that meet D.
     """
     nu = max_matching(g).size
-    d_set = set()
-    for v in range(g.n):
-        rest = list(range(g.n))
-        rest.remove(v)
-        sub, _ = induced(g, rest)
-        if max_matching(sub).size == nu:
-            d_set.add(v)
+    # G - v is matched as g with v isolated, which has the same matchings
+    d_set = {v for v in range(g.n) if max_matching(_isolate(g, v)).size == nu}
     a_set = set()
     for v in d_set:
         a_set.update(u for u in g.neighbors(v) if u not in d_set)

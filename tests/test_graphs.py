@@ -55,6 +55,15 @@ class TestGraph:
         for u, v in ((-1, 0), (0, -1), (-3, 2), (3, 0), (0, 3), (7, -7)):
             assert not g.has_edge(u, v)
 
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_row_accessors_reject_ids_outside_the_graph(self, v):
+        # a negative id must not read a row from the end, and an id >= n
+        # is no vertex rather than an IndexError
+        g = Graph(3, [(0, 2), (1, 2)])
+        for accessor in (g.neighbors, g.neighbor_set, g.degree):
+            with pytest.raises(ValueError, match="out of range"):
+                accessor(v)
+
     def test_equality_and_hash(self):
         g1 = Graph(3, [(0, 1)])
         g2 = Graph(3, [(1, 0)])

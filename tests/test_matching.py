@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanramsey import (
     BLUE,
@@ -13,12 +15,15 @@ from fanramsey import (
     MultipartiteSpec,
     edmonds_gallai,
     eg_neighborhood_structure,
+    induced,
     konig_cover,
     matching_number,
     max_matching,
     star_fan_lower,
 )
-from oracles import brute_matching, enumerate_maximum_matchings
+from fanramsey import matching
+from fanramsey.graphs import _isolate
+from oracles import brute_matching, enumerate_maximum_matchings, validate_graph
 
 
 def random_graph(rng, n, p=0.5):
@@ -148,6 +153,22 @@ class TestMaxMatching:
         for n in (3, 5, 7, 9, 11):
             cycle = Graph(n, [(i, (i + 1) % n) for i in range(n)])
             assert matching_number(cycle) == n // 2
+
+    def test_no_search_without_a_later_exposed_vertex(self, monkeypatch):
+        # greedy matches 0-1 and leaves 2, 3 and 4 exposed; the search from 2
+        # augments along 2-0-1-3, after which 4 is the last exposed vertex
+        # with a neighbour: a path from it has nowhere to end, so no search
+        roots = []
+        search = matching._find_augmenting_path
+
+        def spy(rows, match, parent, root):
+            roots.append(root)
+            return search(rows, match, parent, root)
+
+        monkeypatch.setattr(matching, "_find_augmenting_path", spy)
+        g = Graph(5, [(0, 1), (0, 2), (1, 3), (0, 4)])
+        assert max_matching(g).edges == ((0, 2), (1, 3))
+        assert roots == [2]
 
     def test_against_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -292,6 +313,13 @@ class TestEgNeighborhood:
         with pytest.raises(ValueError):
             eg_neighborhood_structure(k, 0, RED, 0)
 
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_rejects_vertex_outside_the_coloring(self, v):
+        # -1 must not read vertex 2's neighbourhood from the end of the rows
+        k = TwoColoring(3, Graph(3, [(0, 2), (1, 2)]))
+        with pytest.raises(ValueError, match="out of range"):
+            eg_neighborhood_structure(k, v, RED, 2)
+
     def test_identity_matches_partition(self):
         rng = random.Random(41)
         for _ in range(150):
@@ -314,3 +342,28 @@ def test_multipartite_nu_matches_blossom():
         g = build_complete_multipartite(spec)
         total = spec.total
         assert matching_number(g) == min(total // 2, total - spec.part_sizes[-1])
+
+
+@st.composite
+def graph_and_vertex(draw):
+    n = draw(st.integers(min_value=1, max_value=14))
+    pairs = list(itertools.combinations(range(n), 2))
+    picked = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, picked), draw(st.integers(min_value=0, max_value=n - 1))
+
+
+@given(graph_and_vertex())
+@settings(max_examples=300, deadline=None)
+def test_isolated_vertex_graph_is_g_minus_v(case):
+    """edmonds_gallai matches G - v as g with v's edges removed."""
+    g, v = case
+    h = _isolate(g, v)
+    validate_graph(h)
+    assert h.n == g.n
+    assert h.edges() == [e for e in g.edges() if v not in e]
+    assert h.neighbors(v) == ()
+    sub, ids = induced(g, [u for u in range(g.n) if u != v])
+    m = max_matching(h)
+    m.validate(h)
+    assert m.size == brute_matching(sub).size
+    assert m.edges == Matching((ids[a], ids[b]) for a, b in max_matching(sub).edges).edges
