@@ -15,12 +15,11 @@ import sys
 
 from .bigraphic import DegreePairSpec, IntervalRealizationParams, is_bigraphic, \
     realize_bigraphic, realize_interval
-from .constructions import chromatic_lower, dirac_threshold, star_fan_lower, \
-    star_fan_lower_special, turan_lower
+from .constructions import chromatic_lower, conditioned_coloring, dirac_threshold, \
+    star_fan_lower, star_fan_lower_special, turan_lower
 from .errors import ParseError, UnsupportedRangeError
 from .fans import find_fan, high_degree_fan
-from .graphs import EDGELIST, GRAPH6, Graph, TwoColoring, read_coloring, \
-    read_graph, write_graph
+from .graphs import EDGELIST, GRAPH6, read_coloring, read_graph, write_graph
 from .matching import edmonds_gallai
 from .ramsey import brute_force_ramsey, fan_ramsey_bounds, star_fan_formula, \
     verify_fan_fan_witness, verify_star_fan_witness
@@ -46,21 +45,6 @@ def _report_lines(report) -> list[str]:
     if report.bound_implied:
         lines.append(f"implies {report.bound_implied}")
     return lines
-
-
-def conditioned_coloring(rng: random.Random, n: int) -> TwoColoring:
-    """Random coloring of K_{3n+1} forced to have a monochromatic degree >= 3n."""
-    big_n = 3 * n + 1
-    hub_red = rng.random() < 0.5
-    red_edges = []
-    for u in range(big_n):
-        for w in range(u + 1, big_n):
-            if u == 0:
-                if hub_red:
-                    red_edges.append((u, w))
-            elif rng.random() < 0.5:
-                red_edges.append((u, w))
-    return TwoColoring(big_n, Graph(big_n, red_edges))
 
 
 def cmd_construct(args: argparse.Namespace) -> int:

@@ -7,6 +7,7 @@ exact search in the fans module, never assumed from the construction.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from math import isqrt, sqrt
 
@@ -142,6 +143,25 @@ def star_fan_lower_special(n: int) -> tuple[TwoColoring, ConstructionParams]:
     if n < 2:
         raise UnsupportedRangeError(f"need n >= 2, got n={n}")
     return _assemble_star_fan(2 * n, n, window=3)
+
+
+def conditioned_coloring(rng: random.Random, n: int) -> TwoColoring:
+    """Random coloring of K_{3n+1} forced to have a monochromatic degree >= 3n.
+
+    Vertex 0 takes one colour to all others, so it has that degree by
+    construction; every other pair is a fair coin. It feeds high_degree_fan.
+    """
+    big_n = 3 * n + 1
+    hub_red = rng.random() < 0.5
+    red_edges = []
+    for u in range(big_n):
+        for w in range(u + 1, big_n):
+            if u == 0:
+                if hub_red:
+                    red_edges.append((u, w))
+            elif rng.random() < 0.5:
+                red_edges.append((u, w))
+    return TwoColoring(big_n, Graph(big_n, red_edges))
 
 
 def chromatic_lower(n: int) -> TwoColoring:

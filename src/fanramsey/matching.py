@@ -24,6 +24,13 @@ class Matching:
         normalized = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
         object.__setattr__(self, "edges", normalized)
 
+    @classmethod
+    def _from_pairs(cls, edges: tuple[tuple[int, int], ...]) -> "Matching":
+        """Matching on pairs that are already (u, v) with u < v, sorted."""
+        m = cls.__new__(cls)
+        object.__setattr__(m, "edges", edges)
+        return m
+
     @property
     def size(self) -> int:
         return len(self.edges)
@@ -80,7 +87,7 @@ class EGPartition:
 # ---------------------------------------------------------------------------
 
 def _find_augmenting_path(rows: Sequence[tuple[int, ...]], match: list[int],
-                          parent: list[int], root: int) -> int:
+                          parent: list[int], root: int, dead: list[bool]) -> int:
     """BFS for an augmenting path from root, contracting blossoms via base[].
 
     ``members`` maps a blossom's base to the int mask of the vertices with
@@ -88,6 +95,15 @@ def _find_augmenting_path(rows: Sequence[tuple[int, ...]], match: list[int],
     walks the mask of the vertices that join the blossom, in the ascending
     order a scan over all n would visit them, and touches no others.
     Returns the free endpoint of the path, or -1 when none exists.
+
+    The search skips every neighbour marked in ``dead``. When it fails, it
+    marks its whole tree dead: every vertex it enqueued, and their mates.
+    Such a Hungarian tree lies on no augmenting path for as long as the
+    matching outside it changes only by augmentation (Edmonds 1965): the
+    even vertices of the dead trees have no neighbour outside them, so a
+    later search could enter them only through an odd vertex and would
+    never leave them again. Exploring them would label no live vertex and
+    change no live base, so skipping them returns the same path.
     """
     n = len(rows)
     used = [False] * n
@@ -95,7 +111,9 @@ def _find_augmenting_path(rows: Sequence[tuple[int, ...]], match: list[int],
     base = list(range(n))
     members: dict[int, int] = {}
     used[root] = True
-    queue = deque([root])
+    # a list, not a deque, so the tree is still there when the search fails;
+    # iterating a list while appending to it visits the appended items too
+    queue = [root]
 
     def lca(a: int, b: int) -> int:
         on_path = set()
@@ -125,12 +143,11 @@ def _find_augmenting_path(rows: Sequence[tuple[int, ...]], match: list[int],
             v = parent[mv]
         return mask
 
-    while queue:
-        v = queue.popleft()
+    for v in queue:
         mv = match[v]
         bv = base[v]
         for to in rows[v]:
-            if bv == base[to] or mv == to:
+            if dead[to] or bv == base[to] or mv == to:
                 continue
             mt = match[to]
             if to == root or (mt != -1 and parent[mt] != -1):
@@ -155,6 +172,10 @@ def _find_augmenting_path(rows: Sequence[tuple[int, ...]], match: list[int],
                     return to
                 used[mt] = True
                 queue.append(mt)
+    dead[root] = True
+    for v in queue[1:]:  # every enqueued vertex but the root is matched
+        dead[v] = True
+        dead[match[v]] = True
     return -1
 
 
@@ -168,6 +189,10 @@ def max_matching(g: Graph) -> Matching:
     vertex, because an earlier one whose search failed keeps having no
     augmenting path after later augmentations (Edmonds 1965). The skipped
     searches would all have failed, so the edges do not depend on the stop.
+    Each failed search leaves its Hungarian tree dead for the rest of the
+    call, and later searches skip it: no augmenting path passes through it,
+    and exploring it changes no live label (Edmonds 1965), so the searches
+    return the same paths and the edges do not depend on the pruning.
     """
     rows = g._sorted
     n = g.n
@@ -182,13 +207,14 @@ def max_matching(g: Graph) -> Matching:
     roots = [v for v in range(n) if match[v] == -1 and rows[v]]
     left = len(roots)  # exposed vertices with a neighbour, from the root on
     parent = [-1] * n
+    dead = [False] * n  # the Hungarian trees of the failed searches so far
     for v in roots:
         if match[v] != -1:
             continue
         left -= 1
         if left == 0:
             break
-        end = _find_augmenting_path(rows, match, parent, v)
+        end = _find_augmenting_path(rows, match, parent, v, dead)
         if end != -1:
             left -= 1
         while end != -1:
@@ -197,7 +223,7 @@ def max_matching(g: Graph) -> Matching:
             match[end] = prev
             match[prev] = end
             end = after
-    return Matching((v, match[v]) for v in range(n) if match[v] > v)
+    return Matching._from_pairs(tuple([(v, match[v]) for v in range(n) if match[v] > v]))
 
 
 def matching_number(g: Graph) -> int:

@@ -38,7 +38,7 @@ from fanramsey import (
     verify_fan_fan_witness,
     verify_star_fan_witness,
 )
-from fanramsey.cli import conditioned_coloring
+from fanramsey.constructions import conditioned_coloring
 
 
 def verdict(name, failures, started, budget):

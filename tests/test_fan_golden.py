@@ -14,7 +14,7 @@ import random
 import pytest
 
 from fanramsey import Graph, chromatic_lower, find_fan, find_mono_fan
-from fanramsey.cli import conditioned_coloring
+from fanramsey.constructions import conditioned_coloring
 
 
 def gnp(seed, n, p):

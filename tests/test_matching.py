@@ -161,14 +161,50 @@ class TestMaxMatching:
         roots = []
         search = matching._find_augmenting_path
 
-        def spy(rows, match, parent, root):
+        def spy(rows, match, parent, root, *rest):
             roots.append(root)
-            return search(rows, match, parent, root)
+            return search(rows, match, parent, root, *rest)
 
         monkeypatch.setattr(matching, "_find_augmenting_path", spy)
         g = Graph(5, [(0, 1), (0, 2), (1, 3), (0, 4)])
         assert max_matching(g).edges == ((0, 2), (1, 3))
         assert roots == [2]
+
+    @pytest.mark.parametrize("n, edges, matched, reads", [
+        # greedy matches 0-1 and leaves 2, 3 and 4 exposed; the search from 2
+        # enqueues 2 and 1 and fails, so its tree is {2, 1} and 1's mate 0.
+        # 3's only neighbour is in that tree: its search dequeues only 3
+        (5, [(0, 1), (0, 2), (0, 3), (0, 4)], ((0, 1),), {2: [2, 1], 3: [3]}),
+        # that star and the path 7-5-6-8, on which greedy matches 5-6: the
+        # searches from 2, 3 and 4 fail, and the one from 7 augments outside
+        # their trees
+        (9, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6), (5, 7), (6, 8)],
+         ((0, 1), (5, 7), (6, 8)), {2: [2, 1], 3: [3], 4: [4], 7: [7, 6]}),
+    ])
+    def test_search_skips_the_trees_of_failed_searches(self, monkeypatch, n, edges,
+                                                       matched, reads):
+        # per search root, the rows the search reads: one per dequeued vertex
+        seen = {}
+        search = matching._find_augmenting_path
+
+        class Recorder:
+            def __init__(self, rows, log):
+                self.rows, self.log = rows, log
+
+            def __len__(self):
+                return len(self.rows)
+
+            def __getitem__(self, v):
+                self.log.append(v)
+                return self.rows[v]
+
+        def spy(rows, match, parent, root, *rest):
+            seen[root] = []
+            return search(Recorder(rows, seen[root]), match, parent, root, *rest)
+
+        monkeypatch.setattr(matching, "_find_augmenting_path", spy)
+        assert max_matching(Graph(n, edges)).edges == matched
+        assert seen == reads
 
     def test_against_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -367,3 +403,41 @@ def test_isolated_vertex_graph_is_g_minus_v(case):
     m.validate(h)
     assert m.size == brute_matching(sub).size
     assert m.edges == Matching((ids[a], ids[b]) for a, b in max_matching(sub).edges).edges
+
+
+@st.composite
+def deficient_graph(draw):
+    """A dense bipartite core between a small side A and a larger side D,
+    a few edges inside each side, ids shuffled: most searches fail.
+
+    Each matching edge meets A or is one of the k edges inside D, so
+    |D| >= |A| + 2k + 1 leaves at least one vertex exposed.
+    """
+    a = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=0, max_value=2))
+    d = draw(st.integers(min_value=a + 2 * k + 1, max_value=14 - a))
+    side_a, side_d = range(a), range(a, a + d)
+    core = [(u, v) for u in side_a for v in side_d]
+    dropped = draw(st.sets(st.sampled_from(core), max_size=len(core) // 3))
+    inside_a = list(itertools.combinations(side_a, 2))
+    inside_d = draw(st.lists(st.sampled_from(list(itertools.combinations(side_d, 2))),
+                             min_size=k, max_size=k, unique=True))
+    edges = [e for e in core if e not in dropped] + inside_d
+    if inside_a:
+        edges += draw(st.lists(st.sampled_from(inside_a), max_size=2, unique=True))
+    ids = draw(st.permutations(range(a + d)))
+    return Graph(a + d, [(ids[u], ids[v]) for u, v in edges])
+
+
+@given(deficient_graph())
+@settings(max_examples=200, deadline=None)
+def test_deficient_graphs_against_oracles(g):
+    """max_matching and edmonds_gallai where most augmenting-path searches fail."""
+    m = max_matching(g)
+    m.validate(g)
+    assert m.size == brute_matching(g).size
+    assert g.n - 2 * m.size > 0
+    missed = set()
+    for other in enumerate_maximum_matchings(g):
+        missed |= set(range(g.n)) - other.vertices()
+    assert set().union(*edmonds_gallai(g).D) == missed

@@ -29,7 +29,7 @@ from fanramsey import (
     verify_star_fan_witness,
 )
 from fanramsey import ramsey
-from fanramsey.cli import conditioned_coloring
+from fanramsey.constructions import conditioned_coloring
 
 # (name, blue target, red target, N) -> (count, first, last) at parts = 64
 PREFIXES = {
