@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -263,8 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("red_kind", choices=["star", "fan"])
     s.add_argument("red_size", type=int)
     s.add_argument("--cap", type=int, required=True)
-    s.add_argument("--workers", type=_positive_int,
-                   default=os.environ.get("FANRAMSEY_WORKERS", "1"))
+    s.add_argument("--workers", type=_positive_int, default=1)
     common(s, cmd_search, with_fmt=False)
 
     fo = sub.add_parser("formula", help="evaluate a bound formula")

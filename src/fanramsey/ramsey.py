@@ -14,6 +14,7 @@ from collections.abc import Callable, Iterator
 from itertools import repeat
 from dataclasses import dataclass, field
 from math import inf, isfinite, sqrt
+from multiprocessing.connection import wait
 
 from .errors import SizeGuardError, UnsupportedRangeError
 from .fans import find_fan, max_blue_star
@@ -259,19 +260,17 @@ def _edge_order(n: int) -> list[tuple[int, int]]:
 
 
 # Node budget of the serial attempt at each N when workers > 1; only a search
-# that runs past it goes to the pool. Measured on 2 vCPUs (Python 3.11.7):
-# the serial search visits about 450,000 nodes/s on star-star pairs and
-# 185,000 on pairs with a fan, and a fork Pool(2) start and stop costs
-# 15-50 ms (median 26), about 7,000-22,000 star nodes. Two workers at best
-# halve a search, so a pool pays only past about twice its own cost. The
-# benchmark's slow pairs need at most 18,437 nodes at any N, except
-# R(K_{1,6}, K_{1,4}) at N = 9 (305,471 nodes): two workers take that whole
-# search from 604 to 381 ms (medians of 12 alternating runs).
+# past it forks workers. Measured on 2 vCPUs (Python 3.11.7): the search visits
+# about 850,000 nodes/s on star-star pairs and 300,000 with a fan, and forking
+# and joining two workers takes 6.4 ms (median of 40), about 5,400 star nodes.
+# Of the benchmark's pairs only R(K_{1,6}, K_{1,4}) passes 18,437 nodes at an N:
+# at N = 9 (305,471 nodes) two workers take it from 316 to 271 ms (medians of 12).
 _POOL_NODE_BUDGET = 20_000
-# The pool gets at least this many prefixes per worker: at 32 per worker,
+# Each split gets at least this many prefixes per worker: at 32 per worker,
 # R(K_{1,6}, K_{1,4}) at N = 9 splits into 124 subtrees, the largest holding
 # 6% of the nodes (at 3 per worker: 6 subtrees, the largest 52%).
 _PREFIXES_PER_WORKER = 32
+_FOUND = 3  # exit code of a worker that finds an avoiding coloring
 
 
 def _search(blue_t: Target, red_t: Target, order: list[tuple[int, int]],
@@ -318,17 +317,18 @@ def _prefixes(n: int, blue_t: Target, red_t: Target,
     return out
 
 
-def _search_prefix(task) -> bool:
-    """Pool task: search below one prefix with no budget."""
-    n, blue_t, red_t, prefix = task
+def _search_prefixes(n: int, blue_t: Target, red_t: Target,
+                     prefixes: list[tuple[int, ...]]) -> None:
+    """Worker: exit with _FOUND once a prefix extends to an avoiding coloring."""
     order = _edge_order(n)
-    blue = [0] * n
-    red = [0] * n
-    for (i, j), is_blue in zip(order, prefix):
-        adj = blue if is_blue else red
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return _search(blue_t, red_t, order, len(prefix), blue, red, repeat(None))
+    for prefix in prefixes:
+        blue, red = [0] * n, [0] * n
+        for (i, j), is_blue in zip(order, prefix):
+            adj = blue if is_blue else red
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        if _search(blue_t, red_t, order, len(prefix), blue, red, repeat(None)):
+            raise SystemExit(_FOUND)
 
 
 def brute_force_ramsey(blue_target: Target, red_target: Target, n_cap: int,
@@ -336,12 +336,11 @@ def brute_force_ramsey(blue_target: Target, red_target: Target, n_cap: int,
     """Least N forcing the blue target or the red target in every 2-coloring
     of K_N, or a first-class ">= n_cap + 1" when the cap is reached.
 
-    With workers > 1, each N first runs serially under a node budget of
-    about one pool start; only a search past it is split into prefixes for
-    a fork pool of min(workers, CPU count) processes, started at the first
-    such N. The first prefix with an avoiding coloring settles its N and
-    stops the pool with that N's other tasks; a later N forks a new one. No
-    worker outlives the call. The answer always equals the serial one.
+    With workers > 1, each N first runs serially under a node budget of a
+    few times the cost of forking workers; only a search past it is split
+    into prefixes for min(workers, CPU count) processes forked for that N.
+    The first avoiding coloring settles the N and kills the other workers;
+    RuntimeError reports a worker that failed. The answer equals the serial one.
     """
     blue_t = _check_target(blue_target)
     red_t = _check_target(red_target)
@@ -351,31 +350,34 @@ def brute_force_ramsey(blue_target: Target, red_target: Target, n_cap: int,
             f"cap {n_cap} outside 1..{limit} for {blue_t[0]}-{red_t[0]} search")
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    pool = None
-    try:
-        for n in range(1, n_cap + 1):
-            order = _edge_order(n)
+    for n in range(1, n_cap + 1):
+        order = _edge_order(n)
+        try:
+            ticks = repeat(None, _POOL_NODE_BUDGET) if workers > 1 else repeat(None)
+            found = _search(blue_t, red_t, order, 0, [0] * n, [0] * n, ticks)
+        except StopIteration:
+            # more processes than CPUs cannot run at once; workers > 1 alone
+            # still leads here, so a one-CPU host forks one worker
+            size = min(workers, os.cpu_count() or 1)
+            prefixes = _prefixes(n, blue_t, red_t, order, _PREFIXES_PER_WORKER * size)
+            found, running = False, {}
             try:
-                ticks = repeat(None, _POOL_NODE_BUDGET) if workers > 1 else repeat(None)
-                found = _search(blue_t, red_t, order, 0, [0] * n, [0] * n, ticks)
-            except StopIteration:
-                # more processes than CPUs cannot run at once; workers > 1
-                # alone still leads here, so a one-CPU host forks a pool of one
-                size = min(workers, os.cpu_count() or 1)
-                tasks = [(n, blue_t, red_t, p) for p in _prefixes(
-                    n, blue_t, red_t, order, _PREFIXES_PER_WORKER * size)]
-                if pool is None:
-                    pool = multiprocessing.get_context("fork").Pool(size)
-                found = any(pool.imap_unordered(_search_prefix, tasks))
-                if found:
-                    # other tasks of this N may still run: stop them with the pool
-                    pool.terminate()
-                    pool.join()
-                    pool = None
-            if not found:
-                return RamseySearchResult(blue_t, red_t, n_cap, n)
-        return RamseySearchResult(blue_t, red_t, n_cap, None)
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+                for w in range(size):
+                    worker = multiprocessing.get_context("fork").Process(
+                        target=_search_prefixes, args=(n, blue_t, red_t, prefixes[w::size]))
+                    worker.start()
+                    running[worker.sentinel] = worker
+                while running and not found:
+                    for sentinel in wait(list(running)):
+                        running[sentinel].join()
+                        code = running.pop(sentinel).exitcode
+                        if code not in (0, _FOUND):
+                            raise RuntimeError(f"search worker exited with code {code}")
+                        found = found or code == _FOUND
+            finally:
+                for worker in running.values():
+                    worker.kill()
+                    worker.join()
+        if not found:
+            return RamseySearchResult(blue_t, red_t, n_cap, n)
+    return RamseySearchResult(blue_t, red_t, n_cap, None)

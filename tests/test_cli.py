@@ -261,23 +261,10 @@ class TestSearch:
                                         "--cap", "8", "--workers", "3"])
         assert serial == parallel
 
-    def test_workers_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("FANRAMSEY_WORKERS", "2")
-        _, data = run_json(capsys, ["search", "star", "1", "fan", "2",
-                                    "--cap", "9"])
-        assert data["value"] == 5
-
-    def test_bad_workers_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("FANRAMSEY_WORKERS", "two")
-        assert main(["search", "star", "1", "fan", "2", "--cap", "9"]) == 2
-        assert main(["formula", "star-fan", "--m", "1", "--n", "2"]) == 0
-
     @pytest.mark.parametrize("value", ["0", "-5"])
-    def test_workers_below_one_exit_2(self, capsys, monkeypatch, value):
+    def test_workers_below_one_exit_2(self, capsys, value):
         argv = ["search", "star", "1", "fan", "2", "--cap", "9"]
         assert main(argv + ["--workers", value]) == 2
-        monkeypatch.setenv("FANRAMSEY_WORKERS", value)
-        assert main(argv) == 2
         assert "positive integer" in capsys.readouterr().err
 
 

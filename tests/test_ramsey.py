@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import random
+import threading
 import time
 
 import pytest
@@ -293,10 +294,10 @@ class TestMonotonicity:
 
 
 class TestPoolPath:
-    """workers > 1 with the node budget at 0, so every N goes to the pool."""
+    """workers > 1 with the node budget at 0, so every N forks its workers."""
 
     @pytest.fixture
-    def pools(self, monkeypatch):
+    def forks(self, monkeypatch):
         monkeypatch.setattr(ramsey, "_POOL_NODE_BUDGET", 0)
         started = []
         get_context = multiprocessing.get_context
@@ -314,26 +315,26 @@ class TestPoolPath:
         (("fan", 2), ("fan", 2), 8),    # reaches its cap
     ])
     @pytest.mark.parametrize("budget", [0, 5])
-    def test_matches_serial(self, pools, monkeypatch, budget, blue, red, cap):
-        # at 5 nodes N = 1, 2 finish serially and the pool starts later
+    def test_matches_serial(self, forks, monkeypatch, budget, blue, red, cap):
+        # at 5 nodes N = 1, 2 finish serially and the first fork comes later
         monkeypatch.setattr(ramsey, "_POOL_NODE_BUDGET", budget)
         single = brute_force_ramsey(blue, red, cap, workers=1)
-        assert not pools
+        assert not forks
         for workers in (2, 3):
             multi = brute_force_ramsey(blue, red, cap, workers=workers)
             assert multi.to_json_dict() == single.to_json_dict()
             assert not multiprocessing.active_children()
-        assert pools
+        assert forks
 
-    def test_cheap_search_starts_no_pool(self, pools, monkeypatch):
+    def test_cheap_search_starts_no_pool(self, forks, monkeypatch):
         monkeypatch.setattr(ramsey, "_POOL_NODE_BUDGET", 20_000)
         assert brute_force_ramsey(("star", 2), ("fan", 3), 9, workers=2).value == 7
-        assert not pools
+        assert not forks
 
-    def test_no_task_of_an_earlier_n_runs_behind_a_later_one(self, pools, monkeypatch):
-        # each worker stalls for 10 s in its first task at N = 5 other than
-        # the first prefix, which holds an avoiding coloring; that answer
-        # must end the stalled tasks, or N = 6 waits behind them
+    def test_no_task_of_an_earlier_n_runs_behind_a_later_one(self, forks, monkeypatch):
+        # each worker stalls for 10 s at its first prefix at N = 5 unless it
+        # is the first prefix, which holds an avoiding coloring; that answer
+        # must end the stalled worker, or N = 6 waits behind it
         fan2, n = ("fan", 2), 5
         order5 = ramsey._edge_order(n)
         first = ramsey._prefixes(n, fan2, fan2, order5, 64)[0]
@@ -351,9 +352,9 @@ class TestPoolPath:
         start = time.perf_counter()
         assert brute_force_ramsey(fan2, fan2, 8, workers=2).value is None
         assert time.perf_counter() - start < 10
-        assert len(pools) >= 2
+        assert len(forks) >= 2
 
-    def test_no_process_left_after_a_worker_raises(self, pools, monkeypatch):
+    def test_no_process_left_after_a_worker_raises(self, forks, monkeypatch, capfd):
         parent = os.getpid()
         search = ramsey._search
 
@@ -363,63 +364,64 @@ class TestPoolPath:
             return search(*args)
 
         monkeypatch.setattr(ramsey, "_search", failing_in_workers)
-        with pytest.raises(RuntimeError, match="in a worker"):
+        with pytest.raises(RuntimeError, match="exited with code 1"):
             brute_force_ramsey(("star", 2), ("fan", 2), 9, workers=2)
-        assert pools
+        # the worker's own traceback goes to the inherited stderr
+        assert "search failed in a worker" in capfd.readouterr().err
+        assert forks
         assert not multiprocessing.active_children()
+
+    def test_parent_starts_no_thread(self, forks, monkeypatch):
+        # a thread in the parent would make each fork unsafe (Python 3.12
+        # warns of it), so the workers are forked and awaited without one
+        def refuse(thread):
+            raise RuntimeError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert brute_force_ramsey(("star", 3), ("star", 3), 9, workers=2).value == 6
+        assert forks
 
 
 class TestPoolSize:
-    """The pool and the prefix count follow min(workers, CPU count).
+    """The workers and the prefix count follow min(workers, CPU count).
 
-    get_context is replaced by a fake whose Pool records its size and runs
-    every task inline, so no process is started.
+    The real fork context is wrapped to count the processes started for
+    each split into prefixes.
     """
 
     @pytest.fixture
-    def inline(self, monkeypatch):
+    def splits(self, monkeypatch):
         monkeypatch.setattr(ramsey, "_POOL_NODE_BUDGET", 0)
-        sizes, parts = [], []
+        splits = []  # [prefix count, processes started] per split
+        get_context, prefixes = multiprocessing.get_context, ramsey._prefixes
 
-        class InlinePool:
-            def __init__(self, size):
-                sizes.append(size)
+        class Counting:
+            def __init__(self, method):
+                self.context = get_context(method)
 
-            def imap_unordered(self, func, tasks):
-                return map(func, tasks)
-
-            def terminate(self):
-                pass
-
-            def join(self):
-                pass
-
-        class Context:
-            Pool = InlinePool
-
-        prefixes = ramsey._prefixes
+            def Process(self, *args, **kwargs):
+                splits[-1][1] += 1
+                return self.context.Process(*args, **kwargs)
 
         def recording(n, blue_t, red_t, order, count):
-            parts.append(count)
+            splits.append([count, 0])
             return prefixes(n, blue_t, red_t, order, count)
 
-        monkeypatch.setattr(ramsey.multiprocessing, "get_context", lambda method: Context)
+        monkeypatch.setattr(ramsey.multiprocessing, "get_context", Counting)
         monkeypatch.setattr(ramsey, "_prefixes", recording)
-        return sizes, parts
+        return splits
 
     @pytest.mark.parametrize("cpus, size", [(3, 3), (None, 1), (1, 1)])
-    def test_huge_worker_count_is_cut_to_the_cpus(self, inline, monkeypatch, cpus, size):
-        sizes, parts = inline
+    def test_huge_worker_count_is_cut_to_the_cpus(self, splits, monkeypatch, cpus, size):
         monkeypatch.setattr(ramsey.os, "cpu_count", lambda: cpus)
         serial = brute_force_ramsey(("star", 2), ("fan", 2), 9)
         multi = brute_force_ramsey(("star", 2), ("fan", 2), 9, workers=10**6)
         assert multi.to_json_dict() == serial.to_json_dict()
-        assert sizes and set(sizes) == {size}
-        assert parts and set(parts) == {ramsey._PREFIXES_PER_WORKER * size}
+        assert splits
+        assert {tuple(s) for s in splits} == {(ramsey._PREFIXES_PER_WORKER * size, size)}
 
-    def test_fewer_workers_than_cpus_kept(self, inline, monkeypatch):
-        sizes, parts = inline
+    def test_fewer_workers_than_cpus_kept(self, splits, monkeypatch):
         monkeypatch.setattr(ramsey.os, "cpu_count", lambda: 64)
         brute_force_ramsey(("star", 2), ("fan", 2), 9, workers=2)
-        assert set(sizes) == {2}
-        assert set(parts) == {ramsey._PREFIXES_PER_WORKER * 2}
+        assert splits
+        assert {tuple(s) for s in splits} == {(ramsey._PREFIXES_PER_WORKER * 2, 2)}
