@@ -177,11 +177,18 @@ def fan_ramsey_bounds(n: int, epsilon: float) -> FormulaResult:
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
-def _check_target(t: Target) -> Target:
-    kind, size = t
-    if kind not in ("star", "fan") or int(size) < 1:
-        raise ValueError(f"target must be ('star'|'fan', positive int), got {t!r}")
-    return kind, int(size)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_target(t: Target, name: str) -> Target:
+    try:
+        kind, size = t
+    except (TypeError, ValueError):  # not a pair
+        kind = size = None
+    if kind not in ("star", "fan") or not _is_int(size) or size < 1:
+        raise ValueError(f"{name} must be ('star'|'fan', positive int), got {t!r}")
+    return kind, size
 
 
 def target_name(t: Target) -> str:
@@ -239,19 +246,32 @@ def _nu_at_least(mask: int, adj: list[int], k: int) -> bool:
     return _nu_at_least(rest, adj, k)
 
 
-def _violates(adj: list[int], i: int, j: int, target: Target) -> bool:
-    """Forbidden-subgraph test through the just-colored edge (i, j) only."""
-    kind, size = target
-    if kind == "star":
-        return adj[i].bit_count() >= size or adj[j].bit_count() >= size
-    if _nu_at_least(adj[i], adj, size) or _nu_at_least(adj[j], adj, size):
-        return True
+def _fan_through(adj: list[int], i: int, j: int, k: int) -> bool:
+    """Whether the graph holds an F_k through its edge (i, j), given that it
+    held none before that edge was added.
+
+    Such an F_k is centred at i with j a spoke vertex, paired with some y in
+    N(i) & N(j) while N(i) - j - y holds k - 1 disjoint edges; or centred at
+    j the same way; or centred at some c in N(i) & N(j), with (i, j) a spoke
+    pair and k - 1 disjoint edges in N(c) - i - j. All three need a common
+    neighbour, and no other neighbourhood gains an edge.
+    """
     common = adj[i] & adj[j]
+    if not common:
+        return False
+    # a centre has degree >= 2k; k is now the number of edges left to find
+    need, k = 2 * k, k - 1
+    rest_i = adj[i] & ~(1 << j) if adj[i].bit_count() >= need else 0
+    rest_j = adj[j] & ~(1 << i) if adj[j].bit_count() >= need else 0
+    ij = (1 << i) | (1 << j)
     while common:
-        c = (common & -common).bit_length() - 1
-        if _nu_at_least(adj[c], adj, size):
+        y_bit = common & -common
+        common ^= y_bit
+        hood = adj[y_bit.bit_length() - 1]
+        if (rest_i and _nu_at_least(rest_i & ~y_bit, adj, k)
+                or rest_j and _nu_at_least(rest_j & ~y_bit, adj, k)
+                or hood.bit_count() >= need and _nu_at_least(hood & ~ij, adj, k)):
             return True
-        common &= common - 1
     return False
 
 
@@ -261,10 +281,10 @@ def _edge_order(n: int) -> list[tuple[int, int]]:
 
 # Node budget of the serial attempt at each N when workers > 1; only a search
 # past it forks workers. Measured on 2 vCPUs (Python 3.11.7): the search visits
-# about 850,000 nodes/s on star-star pairs and 300,000 with a fan, and forking
-# and joining two workers takes 6.4 ms (median of 40), about 5,400 star nodes.
+# about 1,050,000 nodes/s on star-star pairs and 460,000 with a fan, and forking
+# and joining two workers takes 5.0 ms (median of 40), about 5,300 star nodes.
 # Of the benchmark's pairs only R(K_{1,6}, K_{1,4}) passes 18,437 nodes at an N:
-# at N = 9 (305,471 nodes) two workers take it from 316 to 271 ms (medians of 12).
+# at N = 9 (305,471 nodes) two workers take it from 284 to 171 ms (medians of 12).
 _POOL_NODE_BUDGET = 20_000
 # Each split gets at least this many prefixes per worker: at 32 per worker,
 # R(K_{1,6}, K_{1,4}) at N = 9 splits into 124 subtrees, the largest holding
@@ -280,26 +300,45 @@ def _search(blue_t: Target, red_t: Target, order: list[tuple[int, int]],
 
     Blue is tried before red; edges to vertex 0 are forced non-increasing
     (blue block first) since permuting vertices 1..n-1 preserves avoidance.
-    Each call takes one item of ticks, so a finite ticks is a node budget
+    Each node takes one item of ticks, so a finite ticks is a node budget
     and StopIteration from it means the budget ran out. A completion is
     accepted when leaf(blue) is truthy, or always when leaf is None.
+
+    The partial coloring must hold neither target, so that a new target
+    has to use the edge just colored and each node tests only that edge.
+    The search keeps this from an empty coloring, and _search_prefixes
+    keeps it because it replays prefixes that _prefixes produced.
     """
-    next(ticks)
-    if idx == len(order):
-        return leaf is None or bool(leaf(blue))
-    i, j = order[idx]
-    for is_blue in (True, False):
-        if is_blue and j == 0 and i > 1 and not (blue[i - 1] & 1):
-            continue
-        adj, target = (blue, blue_t) if is_blue else (red, red_t)
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-        ok = not _violates(adj, i, j, target)
-        if ok and _search(blue_t, red_t, order, idx + 1, blue, red, ticks, leaf):
-            return True
-        adj[i] &= ~(1 << j)
-        adj[j] &= ~(1 << i)
-    return False
+    n, end = len(blue), len(order)
+    # (adjacency, star size, fan size) per color; an F_k needs 2k + 1
+    # vertices, so on n <= 2k its fan size is 0 and it is never tested
+    colors = tuple((adj, size if kind == "star" else 0,
+                    size if kind == "fan" and n > 2 * size else 0)
+                   for adj, (kind, size) in ((blue, blue_t), (red, red_t)))
+    red_only = colors[1:]
+    # the last field marks an edge (i, 0), i > 1, that is blue only if
+    # (i - 1, 0) is: the vertex-0 rule
+    edges = [(i, j, 1 << i, 1 << j, j == 0 and i > 1) for i, j in order]
+
+    def extend(idx: int) -> bool:
+        next(ticks)
+        if idx == end:
+            return leaf is None or bool(leaf(blue))
+        i, j, bit_i, bit_j, to_zero = edges[idx]
+        for adj, star, fan in red_only if to_zero and not blue[i - 1] & 1 else colors:
+            adj[i] |= bit_j
+            adj[j] |= bit_i
+            if star:
+                ok = adj[i].bit_count() < star and adj[j].bit_count() < star
+            else:
+                ok = not fan or not _fan_through(adj, i, j, fan)
+            if ok and extend(idx + 1):
+                return True
+            adj[i] ^= bit_j
+            adj[j] ^= bit_i
+        return False
+
+    return extend(idx)
 
 
 def _prefixes(n: int, blue_t: Target, red_t: Target,
@@ -342,14 +381,16 @@ def brute_force_ramsey(blue_target: Target, red_target: Target, n_cap: int,
     The first avoiding coloring settles the N and kills the other workers;
     RuntimeError reports a worker that failed. The answer equals the serial one.
     """
-    blue_t = _check_target(blue_target)
-    red_t = _check_target(red_target)
+    blue_t = _check_target(blue_target, "blue_target")
+    red_t = _check_target(red_target, "red_target")
+    if not _is_int(n_cap):
+        raise ValueError(f"n_cap must be an int, got {n_cap!r}")
     limit = 8 if blue_t[0] == "fan" and red_t[0] == "fan" else 9
     if not 1 <= n_cap <= limit:
         raise SizeGuardError(
             f"cap {n_cap} outside 1..{limit} for {blue_t[0]}-{red_t[0]} search")
-    if workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    if not _is_int(workers) or workers < 1:
+        raise ValueError(f"workers must be a positive int, got {workers!r}")
     for n in range(1, n_cap + 1):
         order = _edge_order(n)
         try:

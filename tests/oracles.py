@@ -1,12 +1,13 @@
 """Exhaustive reference routines the tests compare the library against.
 
-Each one is small, slow and obviously correct, and refuses instances past
-its vertex guard. The library never calls them.
+Each one is small, slow and obviously correct, and the exhaustive ones
+refuse instances past their vertex guard. The library never calls them.
 """
 
 from functools import lru_cache
 
 from fanramsey import Graph, Matching, SizeGuardError
+from fanramsey.ramsey import _nu_at_least
 
 BRUTE_VERTEX_GUARD = 24
 CYCLE_VERTEX_GUARD = 12
@@ -113,4 +114,22 @@ def cycle_oracle(g: Graph, length: int) -> bool:
     for start in range(g.n):
         if dfs(start, start, 1, {start}):
             return True
+    return False
+
+
+def violates(adj: list[int], i: int, j: int, target: tuple[str, int]) -> bool:
+    """Whether a target goes through the edge (i, j) of the adjacency masks,
+    from the matching numbers of the whole neighbourhoods of i, j and their
+    common neighbours."""
+    kind, size = target
+    if kind == "star":
+        return adj[i].bit_count() >= size or adj[j].bit_count() >= size
+    if _nu_at_least(adj[i], adj, size) or _nu_at_least(adj[j], adj, size):
+        return True
+    common = adj[i] & adj[j]
+    while common:
+        c = (common & -common).bit_length() - 1
+        if _nu_at_least(adj[c], adj, size):
+            return True
+        common &= common - 1
     return False

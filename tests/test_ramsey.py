@@ -6,6 +6,9 @@ import threading
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import brute_matching, violates
 
 from fanramsey import (
     Claim,
@@ -27,6 +30,7 @@ from fanramsey import (
     write_coloring,
 )
 from fanramsey import ramsey
+from fanramsey.graphs import induced
 
 
 def complete(n):
@@ -271,6 +275,20 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="workers"):
             brute_force_ramsey(("star", 1), ("fan", 2), 9, workers=workers)
 
+    @pytest.mark.parametrize("blue, red, cap, workers, name", [
+        (("star", 2.5), ("fan", 2), 9, 1, "blue_target"),
+        (("star", 2), ("fan", True), 9, 1, "red_target"),
+        (("fan", "3"), ("star", 2), 9, 1, "blue_target"),
+        (("star", 2), ("fan", 2), True, 1, "n_cap"),
+        (("star", 2), ("fan", 2), 3.5, 1, "n_cap"),
+        (("star", 2), ("fan", 2), 9, 2.5, "workers"),
+        (5, ("fan", 2), 9, 1, "blue_target"),
+        (("star", 2), ("fan",), 9, 1, "red_target"),
+    ])
+    def test_rejects_malformed_argument(self, blue, red, cap, workers, name):
+        with pytest.raises(ValueError, match=name):
+            brute_force_ramsey(blue, red, cap, workers=workers)
+
     def test_result_json(self):
         res = brute_force_ramsey(("star", 1), ("fan", 1), 9)
         data = res.to_json_dict()
@@ -291,6 +309,52 @@ class TestMonotonicity:
         assert values[1, 1] <= values[2, 1] <= values[3, 1]
         assert values[1, 1] <= values[1, 2]
         assert values[2, 1] <= values[2, 2]
+
+
+@st.composite
+def fan_free_graph_and_new_edge(draw):
+    """An F_k-free graph on up to 10 vertices as adjacency masks, an edge
+    absent from it and k. Each pair, in a random order, is drawn with a
+    random probability and kept when the oracle finds it completes no F_k,
+    so dense draws give graphs where most absent edges would complete one."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    k = draw(st.integers(min_value=1, max_value=4))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    p = draw(st.floats(min_value=0.3, max_value=1))
+    pairs = [(i, j) for i in range(1, n) for j in range(i)]
+    adj = [0] * n
+    for i, j in rng.sample(pairs, len(pairs)):
+        if rng.random() < p:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            if violates(adj, i, j, ("fan", k)):
+                adj[i] &= ~(1 << j)
+                adj[j] &= ~(1 << i)
+    absent = [(i, j) for i, j in pairs if not adj[i] >> j & 1]
+    assume(absent)
+    return adj, draw(st.sampled_from(absent)), k
+
+
+@given(fan_free_graph_and_new_edge())
+@settings(max_examples=400, deadline=None)
+def test_fan_through_agrees_with_whole_neighbourhood_oracle(case):
+    adj, (i, j), k = case
+    assert not any(violates(adj, u, v, ("fan", k))
+                   for u in range(len(adj)) for v in range(u) if adj[u] >> v & 1)
+    adj[i] |= 1 << j
+    adj[j] |= 1 << i
+    assert ramsey._fan_through(adj, i, j, k) == violates(adj, i, j, ("fan", k))
+
+
+@given(st.integers(min_value=1, max_value=10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+    st.integers(0, 2 ** n - 1), st.integers(0, 5))))
+@settings(max_examples=300, deadline=None)
+def test_nu_at_least_agrees_with_brute_matching(case):
+    n, pairs, mask, k = case
+    g = Graph(n, {(min(e), max(e)) for e in pairs if e[0] != e[1]})
+    sub, _ = induced(g, [v for v in range(n) if mask >> v & 1])
+    assert ramsey._nu_at_least(mask, list(g.bits), k) == (brute_matching(sub).size >= k)
 
 
 class TestPoolPath:

@@ -1,17 +1,19 @@
-"""Fixed outputs of the search prefixes, fan extension, multipartite matching
-and witness reports.
+"""Fixed outputs of the search, fan extension, multipartite matching and
+witness reports.
 
 The expected values were recorded before these paths were deduplicated:
 _prefixes on its own copy of _search's branch rule, fan_extend with one
 internal-first edge order per take helper, three copies of the complete
-multipartite matching number, and one "no F_n" claim per verifier. Scans
-go in ascending id order, so each value is a function of its input alone,
-and a change that only removes duplicate code must leave all of them as
-they are.
+multipartite matching number, and one "no F_n" claim per verifier. The
+search node counts were recorded while each node still recomputed the
+matching number of whole neighbourhoods. Scans go in ascending id order,
+so each value is a function of its input alone, and a change that only
+removes duplicate code or repeated work must leave all of them as they are.
 """
 
 import hashlib
 import random
+from itertools import count
 
 import pytest
 from test_acceptance import _random_instance
@@ -45,6 +47,175 @@ def test_prefixes_unchanged(key):
     _, blue, red, n = key
     out = ramsey._prefixes(n, blue, red, ramsey._edge_order(n), 64)
     assert (len(out), out[0], out[-1]) == PREFIXES[key]
+
+
+# "<blue><size>-<red><size>" -> nodes _search visits (items of ticks it
+# takes) at N = 1, 2, ... up to the pair's value, or up to the cap when the
+# value exceeds it: 8 for fan-fan, 9 otherwise
+NODES = {
+    "fan1-fan1": (1, 2, 4, 9, 23, 77),
+    "fan1-fan2": (1, 2, 4, 7, 11, 18, 24, 31),
+    "fan1-fan3": (1, 2, 4, 7, 11, 16, 22, 31),
+    "fan1-fan4": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan1-star1": (1, 2, 3),
+    "fan1-star2": (1, 2, 4, 8, 11),
+    "fan1-star3": (1, 2, 4, 7, 12, 17, 58),
+    "fan1-star4": (1, 2, 4, 7, 11, 17, 23, 30, 618),
+    "fan2-fan1": (1, 2, 4, 7, 11, 20, 30, 45),
+    "fan2-fan2": (1, 2, 4, 7, 11, 16, 26, 38),
+    "fan2-fan3": (1, 2, 4, 7, 11, 16, 22, 33),
+    "fan2-fan4": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan2-star1": (1, 2, 4, 7, 8),
+    "fan2-star2": (1, 2, 4, 7, 39),
+    "fan2-star3": (1, 2, 4, 7, 20, 29, 320),
+    "fan2-star4": (1, 2, 4, 7, 11, 20, 30, 40, 6706),
+    "fan3-fan1": (1, 2, 4, 7, 11, 16, 22, 35),
+    "fan3-fan2": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan3-fan3": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan3-fan4": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan3-star1": (1, 2, 4, 7, 11, 16, 17),
+    "fan3-star2": (1, 2, 4, 7, 11, 16, 314),
+    "fan3-star3": (1, 2, 4, 7, 11, 16, 229, 727, 8790),
+    "fan3-star4": (1, 2, 4, 7, 11, 16, 74, 879, 891),
+    "fan4-fan1": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan4-fan2": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan4-fan3": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan4-fan4": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan4-star1": (1, 2, 4, 7, 11, 16, 22, 29, 30),
+    "fan4-star2": (1, 2, 4, 7, 11, 16, 22, 29, 3322),
+    "fan4-star3": (1, 2, 4, 7, 11, 16, 22, 29, 1077),
+    "fan4-star4": (1, 2, 4, 7, 11, 16, 22, 29, 1205),
+    "fan5-fan1": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan5-fan2": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan5-fan3": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan5-fan4": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan5-star1": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "fan5-star2": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "fan5-star3": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "fan5-star4": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "fan6-fan1": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan6-fan2": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan6-fan3": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan6-fan4": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan6-star1": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "fan6-star2": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "fan6-star3": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "fan6-star4": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "fan7-fan1": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan7-fan2": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan7-fan3": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan7-fan4": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan7-star1": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "fan7-star2": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "fan7-star3": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "fan7-star4": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "fan8-fan1": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan8-fan2": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan8-fan3": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan8-fan4": (1, 2, 4, 7, 11, 16, 22, 29),
+    "fan8-star1": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "fan8-star2": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "fan8-star3": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "fan8-star4": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "star1-fan1": (1, 2, 3),
+    "star1-fan2": (1, 2, 4, 7, 8),
+    "star1-fan3": (1, 2, 4, 7, 11, 16, 17),
+    "star1-fan4": (1, 2, 4, 7, 11, 16, 22, 29, 30),
+    "star1-star1": (1, 1),
+    "star1-star2": (1, 2, 2),
+    "star1-star3": (1, 2, 4, 4),
+    "star1-star4": (1, 2, 4, 7, 7),
+    "star2-fan1": (1, 2, 4, 7, 13),
+    "star2-fan2": (1, 2, 4, 7, 34),
+    "star2-fan3": (1, 2, 4, 7, 11, 16, 262),
+    "star2-fan4": (1, 2, 4, 7, 11, 16, 22, 29, 2726),
+    "star2-star1": (1, 2, 2),
+    "star2-star2": (1, 2, 4),
+    "star2-star3": (1, 2, 4, 7, 11),
+    "star2-star4": (1, 2, 4, 7, 27),
+    "star3-fan1": (1, 2, 4, 7, 11, 16, 73),
+    "star3-fan2": (1, 2, 4, 7, 11, 16, 334),
+    "star3-fan3": (1, 2, 4, 7, 11, 16, 28, 41, 8526),
+    "star3-fan4": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "star3-star1": (1, 2, 4, 4),
+    "star3-star2": (1, 2, 4, 9, 12),
+    "star3-star3": (1, 2, 4, 10, 17, 38),
+    "star3-star4": (1, 2, 4, 7, 11, 16, 162),
+    "star4-fan1": (1, 2, 4, 7, 11, 16, 22, 29, 758),
+    "star4-fan2": (1, 2, 4, 7, 11, 16, 22, 29, 8049),
+    "star4-fan3": (1, 2, 4, 7, 11, 16, 22, 29, 44),
+    "star4-fan4": (1, 2, 4, 7, 11, 16, 22, 29, 45),
+    "star4-star1": (1, 2, 4, 7, 7),
+    "star4-star2": (1, 2, 4, 7, 30),
+    "star4-star3": (1, 2, 4, 7, 14, 39, 178),
+    "star4-star4": (1, 2, 4, 7, 15, 24, 1375),
+    "star5-fan1": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "star5-fan2": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "star5-fan3": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "star5-fan4": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "star5-star1": (1, 2, 4, 7, 11, 11),
+    "star5-star2": (1, 2, 4, 7, 11, 40, 93),
+    "star5-star3": (1, 2, 4, 7, 11, 27, 117, 1051),
+    "star5-star4": (1, 2, 4, 7, 11, 20, 55, 220, 18437),
+    "star6-fan1": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "star6-fan2": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "star6-fan3": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "star6-fan4": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "star6-star1": (1, 2, 4, 7, 11, 16, 16),
+    "star6-star2": (1, 2, 4, 7, 11, 16, 268),
+    "star6-star3": (1, 2, 4, 7, 11, 16, 129, 469, 7536),
+    "star6-star4": (1, 2, 4, 7, 11, 16, 36, 432, 305471),
+    "star7-fan1": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "star7-fan2": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "star7-fan3": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "star7-fan4": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "star7-star1": (1, 2, 4, 7, 11, 16, 22, 22),
+    "star7-star2": (1, 2, 4, 7, 11, 16, 22, 235, 901),
+    "star7-star3": (1, 2, 4, 7, 11, 16, 22, 201, 2754),
+    "star7-star4": (1, 2, 4, 7, 11, 16, 22, 65, 2636),
+    "star8-fan1": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "star8-fan2": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "star8-fan3": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "star8-fan4": (1, 2, 4, 7, 11, 16, 22, 29, 37),
+    "star8-star1": (1, 2, 4, 7, 11, 16, 22, 29, 29),
+    "star8-star2": (1, 2, 4, 7, 11, 16, 22, 29, 2938),
+    "star8-star3": (1, 2, 4, 7, 11, 16, 22, 29, 619),
+    "star8-star4": (1, 2, 4, 7, 11, 16, 22, 29, 660),
+}
+# (blue target, red target, N) -> nodes, for searches past the table's caps
+# or large enough to be timed
+LARGE_NODES = {
+    (("star", 4), ("fan", 3), 11): 435_296,
+    (("star", 6), ("star", 4), 9): 305_471,
+}
+
+
+def _nodes(blue, red, n):
+    ticks = count()
+    found = ramsey._search(blue, red, ramsey._edge_order(n), 0, [0] * n, [0] * n, ticks)
+    return next(ticks), found
+
+
+def _target(text):
+    return text[:-1], int(text[-1])
+
+
+@pytest.mark.parametrize("label", sorted(NODES))
+def test_search_nodes_unchanged(label):
+    blue, red = map(_target, label.split("-"))
+    cap = 8 if blue[0] == red[0] == "fan" else 9
+    counts, n = [], 0
+    while n < cap and (not counts or found):
+        n += 1
+        nodes, found = _nodes(blue, red, n)
+        counts.append(nodes)
+    assert tuple(counts) == NODES[label]
+
+
+@pytest.mark.parametrize("key", sorted(LARGE_NODES), ids=lambda k: "{}{}-{}{}-N{}".format(
+    *k[0], *k[1], k[2]))
+def test_large_search_nodes_unchanged(key):
+    assert _nodes(*key) == (LARGE_NODES[key], False)
 
 
 # (case, seed) -> (center, spokes); the instance is
