@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _is_int
 
 
 @dataclass(frozen=True)
@@ -23,8 +23,10 @@ class DegreePairSpec:
     ys: tuple[int, ...]
 
     def __init__(self, xs: Sequence[int], ys: Sequence[int]):
-        xs = tuple(int(x) for x in xs)
-        ys = tuple(int(y) for y in ys)
+        xs, ys = tuple(xs), tuple(ys)
+        for name, side in (("xs", xs), ("ys", ys)):
+            if not all(map(_is_int, side)):
+                raise ValueError(f"{name} must hold ints, got {side!r}")
         if any(x < 0 for x in xs) or any(y < 0 for y in ys):
             raise ValueError("degrees must be non-negative")
         if not xs or not ys:
@@ -126,15 +128,12 @@ def realize_bigraphic(spec: DegreePairSpec) -> tuple[Graph, tuple[frozenset[int]
     if not check.ok:
         raise ValueError(f"not bigraphic: {check.reason}")
     a, b = spec.a, spec.b
-    need_x = list(spec.xs)
     need_y = list(spec.ys)
     edges = []
-    for _ in range(a):
-        u = max(range(a), key=lambda i: (need_x[i], -i))
-        want = need_x[u]
-        need_x[u] = 0
+    # an x-degree changes only when its vertex is processed: one sort orders X
+    for u, want in sorted(enumerate(spec.xs), key=lambda e: (-e[1], e[0])):
         if want == 0:
-            continue
+            break
         partners = sorted(range(b), key=lambda j: (-need_y[j], j))[:want]
         if need_y[partners[-1]] <= 0:
             raise AssertionError("greedy realization ran out of capacity")

@@ -18,7 +18,7 @@ from .constructions import chromatic_lower, conditioned_coloring, dirac_threshol
     star_fan_lower, star_fan_lower_special, turan_lower
 from .errors import ParseError, UnsupportedRangeError
 from .fans import find_fan, high_degree_fan
-from .graphs import EDGELIST, GRAPH6, read_coloring, read_graph, write_graph
+from .graphs import EDGELIST, FORMATS, read_coloring, read_graph, write_graph
 from .matching import edmonds_gallai
 from .ramsey import brute_force_ramsey, fan_ramsey_bounds, star_fan_formula, \
     verify_fan_fan_witness, verify_star_fan_witness
@@ -211,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, func, with_fmt=True):
         p.add_argument("--json", action="store_true", help="emit structured JSON")
         if with_fmt:
-            p.add_argument("--format", choices=[EDGELIST, GRAPH6],
+            p.add_argument("--format", choices=FORMATS,
                            default=EDGELIST, dest="fmt")
         p.set_defaults(func=func)
 
@@ -250,8 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fan-find", help="search a graph for F_k, or run "
                                         "conditioned high-degree trials")
     f.add_argument("input", nargs="?")
-    f.add_argument("--k", type=int)
-    f.add_argument("--n", type=int)
+    f.add_argument("--k", type=_positive_int)
+    f.add_argument("--n", type=_positive_int)
     f.add_argument("--trials", type=_positive_int)
     f.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(f, cmd_fan_find)

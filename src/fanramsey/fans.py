@@ -18,10 +18,12 @@ from typing import Iterable, Sequence
 from .errors import FanExtensionError
 from .graphs import (
     BLUE,
+    COLORS,
     RED,
     Graph,
     MultipartiteSpec,
     TwoColoring,
+    _is_int,
     induced,
     opposite,
 )
@@ -63,11 +65,6 @@ def validate_fan_witness(g: Graph, w: FanWitness, k: int | None = None) -> None:
             raise ValueError(f"spoke pair ({u}, {v}) not adjacent")
         if not g.has_edge(w.center, u) or not g.has_edge(w.center, v):
             raise ValueError(f"center {w.center} not adjacent to spoke ({u}, {v})")
-
-
-def _map_witness(w: FanWitness, mapping: Sequence[int]) -> FanWitness:
-    return FanWitness(mapping[w.center],
-                      [(mapping[u], mapping[v]) for u, v in w.spokes])
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +187,12 @@ def find_mono_fan(k: TwoColoring, n: int) -> tuple[str, FanWitness] | None:
 
 
 def max_blue_star(k: TwoColoring) -> tuple[int, int]:
-    """Vertex of maximum blue degree; a blue K_{1,m} exists iff that degree >= m."""
-    best_v = 0
-    best_d = -1
-    for v in range(k.n):
-        d = k.degree(v, BLUE)
-        if d > best_d:
-            best_v, best_d = v, d
-    return best_v, max(best_d, 0)
+    """The vertex of most blue degree (the first of least red) and that degree."""
+    red = k.red.degrees()
+    if not red:
+        return 0, 0
+    v = red.index(min(red))
+    return v, k.n - 1 - red[v]
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +250,8 @@ class FanExtensionInstance:
 
     def __init__(self, host: Graph, x_parts: Sequence[Iterable[int]],
                  y: Iterable[int], z: Iterable[int], lam: float, n: int):
+        if not _is_int(n):
+            raise ValueError(f"n must be an int, got {n!r}")
         x_parts = tuple(frozenset(p) for p in x_parts)
         y = frozenset(y)
         z = frozenset(z)
@@ -263,7 +260,7 @@ class FanExtensionInstance:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "lam", float(lam))
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         self._validate()
 
     def _validate(self) -> None:
@@ -482,34 +479,40 @@ def find_extension_matching(inst: FanExtensionInstance, case: str, v: int) -> Ma
 # ---------------------------------------------------------------------------
 
 def high_degree_fan(k: TwoColoring, n: int) -> tuple[str, FanWitness] | None:
-    """Monochromatic F_n found through a vertex of monochromatic degree >= 3n.
+    """Monochromatic F_n at the first vertex v of monochromatic degree >= 3n.
 
-    Returns None when no vertex qualifies (the precondition is data). When
-    one qualifies, a fan must exist; exhausting every search path without
-    one would disprove the guarantee, so that raises.
+    v and its color c are the first pair, by ascending id with red before
+    blue, of degree >= 3n; None when none qualifies. The fan is centred at v
+    when the c-graph H on N(v) holds n disjoint edges, and otherwise lies in
+    N(v) in the other color: if nu(H) = m < n, a maximum matching of H
+    leaves |S| >= 3n - 2m >= n + 2 vertices exposed, a clique S in the other
+    color. Each matching edge has an end with at most one H-neighbour in S
+    (else s1 a b s2 augments), so some x in S misses all m such ends in H.
+    Pairing them with S - x, and the rest of S - x among themselves, gives
+    m + floor((3n - 3m - 1)/2) >= n disjoint other-color edges among x's
+    other-color neighbours. No fan there means the lemma failed: RuntimeError.
     """
     if n < 1:
         raise ValueError("fan size must be positive")
-    qualifying = [(v, color) for v in range(k.n) for color in (RED, BLUE)
-                  if k.degree(v, color) >= 3 * n]
-    if not qualifying:
+    first = next(((v, color) for v in range(k.n) for color in COLORS
+                  if k.degree(v, color) >= 3 * n), None)
+    if first is None:
         return None
-    for v, color in qualifying:
-        hood = k.neighbors(v, color)
-        sub, mapping = induced(k.graph(color), hood)
-        mm = max_matching(sub)
-        if mm.size >= n:
-            w = FanWitness(v, [(mapping[a], mapping[b]) for a, b in mm.edges[:n]])
-            validate_fan_witness(k.graph(color), w, n)
-            return color, w
-        other = opposite(color)
-        osub, omapping = induced(k.graph(other), hood)
-        w = find_fan(osub, n)
-        if w is not None:
-            mapped = _map_witness(w, omapping)
-            validate_fan_witness(k.graph(other), mapped, n)
-            return other, mapped
-    result = find_mono_fan(k, n)
-    if result is None:
-        raise RuntimeError("degree 3n vertex present but no monochromatic fan found")
-    return result
+    v, color = first
+    hood = k.neighbors(v, color)
+    sub, mapping = induced(k.graph(color), hood)
+    mm = max_matching(sub)
+    if mm.size >= n:
+        w = FanWitness(v, [(mapping[a], mapping[b]) for a, b in mm.edges[:n]])
+        validate_fan_witness(k.graph(color), w, n)
+        return color, w
+    other = opposite(color)
+    osub, omapping = induced(k.graph(other), hood)
+    w = find_fan(osub, n)
+    if w is None:
+        raise RuntimeError(f"degree-3n lemma failed at vertex {v}: no {other} "
+                           f"F_{n} inside its {color} neighbourhood")
+    mapped = FanWitness(omapping[w.center],
+                        [(omapping[a], omapping[b]) for a, b in w.spokes])
+    validate_fan_witness(k.graph(other), mapped, n)
+    return other, mapped

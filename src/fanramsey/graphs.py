@@ -23,6 +23,10 @@ FORMATS = (EDGELIST, GRAPH6)
 _MAX_ORDER = 258047
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def opposite(color: str) -> str:
     """The other color of a 2-coloring."""
     if color == RED:
@@ -91,11 +95,6 @@ class Graph:
         if self.n == 0:
             return 0
         return min(self.degrees())
-
-    def max_degree(self) -> int:
-        if self.n == 0:
-            return 0
-        return max(self.degrees())
 
     def has_edge(self, u: int, v: int) -> bool:
         """False for a pair with an id outside 0..n-1, so that a negative id

@@ -18,7 +18,7 @@ from multiprocessing.connection import wait
 
 from .errors import SizeGuardError, UnsupportedRangeError
 from .fans import find_fan, max_blue_star
-from .graphs import Graph, TwoColoring
+from .graphs import Graph, TwoColoring, _is_int
 
 Target = tuple[str, int]
 
@@ -78,11 +78,11 @@ def verify_star_fan_witness(k: TwoColoring, m: int, n: int) -> WitnessReport:
     v, d = max_blue_star(k)
     claims.append(Claim(f"no blue K_{{1,{m}}}", d <= m - 1,
                         {"vertex": v, "blue_degree": d}))
+    # the vertex of most blue degree is the one of least red degree
     required = k.n - m
-    min_v = min(range(k.n), key=lambda u: (k.red.degree(u), u))
-    min_red = k.red.degree(min_v)
+    min_red = k.n - 1 - d
     claims.append(Claim(f"red min degree >= {required}", min_red >= required,
-                        {"vertex": min_v, "red_degree": min_red,
+                        {"vertex": v, "red_degree": min_red,
                          "required": required}))
     claims.append(_no_fan_claim("red", k.red, n))
     bound = None
@@ -176,10 +176,6 @@ def fan_ramsey_bounds(n: int, epsilon: float) -> FormulaResult:
 # ---------------------------------------------------------------------------
 # Brute-force oracle
 # ---------------------------------------------------------------------------
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
 
 def _check_target(t: Target, name: str) -> Target:
     try:

@@ -38,6 +38,17 @@ class TestDegreePairSpec:
         with pytest.raises(ValueError):
             DegreePairSpec([1, -1], [0])
 
+    @pytest.mark.parametrize("xs, ys, message", [
+        ([2.7, 1], [1, 2], r"xs must hold ints, got \(2.7, 1\)"),
+        ([2, "1"], [1, 2], r"xs must hold ints, got \(2, '1'\)"),
+        ([2, 1], [True, 2], r"ys must hold ints, got \(True, 2\)"),
+        ([2, 1], [1, 2.2], r"ys must hold ints, got \(1, 2.2\)"),
+    ], ids=["x-float", "x-str", "y-bool", "y-float"])
+    def test_rejects_non_int_degree(self, xs, ys, message):
+        # int() would truncate 2.7 and parse '1', and bool is an int subclass
+        with pytest.raises(ValueError, match=message):
+            DegreePairSpec(xs, ys)
+
     def test_rejects_empty_side(self):
         with pytest.raises(ValueError):
             DegreePairSpec([], [1])
@@ -109,6 +120,12 @@ class TestRealizeBigraphic:
             for u, v in g.edges():
                 assert (u in left) != (v in left)
             built += 1
+
+    def test_order_of_the_greedy(self):
+        # the largest x-degree goes first, the lowest id among equal ones,
+        # and takes the largest remaining y-degrees, lowest ids first
+        g, _ = realize_bigraphic(DegreePairSpec([1, 2, 1], [2, 1, 1]))
+        assert g.edges() == [(0, 3), (1, 3), (1, 4), (2, 5)]
 
     def test_unrealizable_raises(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fanramsey import Graph, find_fan, read_graph, write_graph
+from fanramsey import Graph, TwoColoring, cli, fans, find_fan, read_graph, write_graph
 from fanramsey.cli import main
 
 
@@ -176,6 +176,14 @@ class TestRealize:
         assert main(["realize", "--a", "2", "--b", "2", "--c", "0",
                      "--d", "4", "--sigma", "2"]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--x", "1"], "needs both --x and --y"),
+        (["--a", "1", "--b", "1", "--c", "0", "--d", "0"], "needs --sigma"),
+    ], ids=["pair", "interval"])
+    def test_missing_flag_exits_2(self, capsys, argv, message):
+        assert main(["realize"] + argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_mode_confusion_exits_2(self, capsys):
         assert main(["realize", "--x", "1", "--a", "1", "--b", "1",
                      "--c", "0", "--d", "0", "--sigma", "0"]) == 2
@@ -235,6 +243,23 @@ class TestFanFind:
         assert main(["fan-find", "--n", "2", "--trials", "-3"]) == 2
         assert main(["fan-find", "--n", "2", "--trials", "0"]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--n", "-1", "--trials", "1"], "--n"),
+        (["missing.el", "--k", "0"], "--k"),
+    ])
+    def test_fan_size_must_be_positive(self, capsys, argv, flag):
+        # argparse names the flag before a Graph of order 3n + 1 is built
+        # or the file is opened
+        assert main(["fan-find"] + argv) == 2
+        assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+
+    def test_trial_mode_lemma_failure_exits_1(self, capsys, monkeypatch):
+        star = TwoColoring(7, Graph(7, [(0, v) for v in range(1, 7)]))
+        monkeypatch.setattr(cli, "conditioned_coloring", lambda rng, n: star)
+        monkeypatch.setattr(fans, "find_fan", lambda g, k: None)
+        assert main(["fan-find", "--n", "2", "--trials", "1"]) == 1
+        assert "lemma failed at vertex 0" in capsys.readouterr().err
 
 
 class TestSearch:

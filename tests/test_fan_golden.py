@@ -7,13 +7,16 @@ the greedy tier and the blossom matcher, and the tiers between them only
 prove absence, so a change to the tiers must leave every witness as it is.
 Keys of FAN_CASES are (seed, n, p, k): the graph is G(n, p) drawn with
 random.Random(seed), one coin per pair u < v in lexicographic order.
+high_degree_fan is pinned the same way, by a digest over many inputs.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from fanramsey import Graph, chromatic_lower, find_fan, find_mono_fan
+from fanramsey import Graph, chromatic_lower, find_fan, find_mono_fan, high_degree_fan
 from fanramsey.constructions import conditioned_coloring
 
 
@@ -118,3 +121,20 @@ def test_find_mono_fan_witness_unchanged():
             conditioned_coloring(random.Random(11), 4), 4)),
     }
     assert got == MONO_CASES
+
+
+# sha256 over the 500 inputs of acceptance criterion 8 (random.Random(2024),
+# n = randint(1, 5), then conditioned_coloring(rng, n)): one JSON line
+# [color, witness] per input
+HIGH_DEGREE_DIGEST = "a596fb4cfa933f676544b9c9515aa50a83f4216a5054866a6b42098964a70f62"
+
+
+def test_high_degree_fan_witnesses_unchanged():
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for _ in range(500):
+        n = rng.randint(1, 5)
+        color, w = high_degree_fan(conditioned_coloring(rng, n), n)
+        line = json.dumps([color, w.to_json_dict()], sort_keys=True)
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == HIGH_DEGREE_DIGEST

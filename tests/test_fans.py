@@ -291,6 +291,24 @@ class TestFanExtensionInstance:
         with pytest.raises(ValueError):
             FanExtensionInstance(host, [[0], [1, 2]], [], [3], lam=2, n=2)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"n": 0}, "n must be positive"),
+        ({"n": 1.9}, "n must be an int, got 1.9"),
+        ({"n": True}, "n must be an int, got True"),
+        ({"lam": 0.5}, "lambda must be at least 1"),
+        ({"x_parts": [[0, 1], []]}, "every X part must be non-empty"),
+        ({"y": [1, 2, 3]}, "disjoint"),
+        ({"n": 4}, r"\|X\| \+ \|Y\| must exceed n"),
+    ], ids=["n-zero", "n-float", "n-bool", "lambda", "empty-part", "overlap",
+            "small-xy"])
+    def test_rejects_bad_argument(self, change, message):
+        # K_{2,2} with X = {0, 1} and Y = {2, 3} is a valid instance at n = 1
+        host = build_complete_multipartite(MultipartiteSpec([2, 2]))
+        args = {"x_parts": [[0, 1]], "y": [2, 3], "z": [], "lam": 2, "n": 1}
+        FanExtensionInstance(host, **args)
+        with pytest.raises(ValueError, match=message):
+            FanExtensionInstance(host, **{**args, **change})
+
 
 class TestFanExtend:
     def test_case_i(self):
@@ -362,6 +380,17 @@ class TestFanExtend:
         joined = " ".join(exc.value.failures)
         assert "|Y| <= n" in joined and "coverage" in joined
 
+    @pytest.mark.parametrize("builder, case, edges, message", [
+        (build_case_iii, "i", None, "case (i) needs |X| > n + lambda"),
+        (build_case_i, "iii", None, "case (iii) needs |Y| >= n"),
+        (build_case_iii, "iii", [], "case (iii) needs Y u Z coverage"),
+    ], ids=["i-x-size", "iii-y-size", "iii-coverage"])
+    def test_audit_rejects_failed_case_hypothesis(self, builder, case, edges, message):
+        inst, m = builder()
+        with pytest.raises(FanExtensionError) as exc:
+            fan_extend(inst, case, 0, m if edges is None else Matching(edges))
+        assert any(f.startswith(message) for f in exc.value.failures)
+
     def test_audit_rejects_center_outside_x(self):
         inst, m = build_case_i()
         with pytest.raises(FanExtensionError):
@@ -412,6 +441,40 @@ class TestHighDegreeFan:
         color, w = result
         assert color == BLUE
         validate_fan_witness(k.blue, w, 2)
+
+    def test_fan_at_or_inside_first_qualifying_vertex(self):
+        # vertex 0 takes one color to every other vertex, so some pair
+        # qualifies; a sparse color inside a neighbourhood pushes the fan
+        # into the other color
+        rng = random.Random(314)
+        branches = set()
+        for _ in range(400):
+            n = rng.randint(1, 3)
+            size = 3 * n + rng.randint(1, 3)
+            p = rng.choice((0.1, 0.5, 0.9))
+            hub_red = rng.random() < 0.5
+            k = TwoColoring(size, Graph(size, [
+                (u, v) for u in range(size) for v in range(u + 1, size)
+                if (hub_red if u == 0 else rng.random() < p)]))
+            v0, c0 = next((v, c) for v in range(size) for c in (RED, BLUE)
+                          if k.degree(v, c) >= 3 * n)
+            color, w = high_degree_fan(k, n)
+            validate_fan_witness(k.graph(color), w, n)
+            if color == c0:
+                assert w.center == v0
+            else:
+                hood = set(k.neighbors(v0, c0))
+                assert {w.center, *itertools.chain(*w.spokes)} <= hood
+            branches.add(color == c0)
+        assert branches == {True, False}
+
+    def test_lemma_failure_raises(self, monkeypatch):
+        # the red star's neighbourhood holds no red edge, so the fan must
+        # come from find_fan on the blue side; without it the lemma fails
+        monkeypatch.setattr(fans, "find_fan", lambda g, k: None)
+        star = TwoColoring(7, Graph(7, [(0, v) for v in range(1, 7)]))
+        with pytest.raises(RuntimeError, match="at vertex 0"):
+            high_degree_fan(star, 2)
 
     def test_random_qualifying_always_finds(self):
         rng = random.Random(77)

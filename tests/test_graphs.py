@@ -47,6 +47,10 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
 
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Graph(-1)
+
     def test_has_edge_false_outside_the_id_range(self):
         # a negative id must not index a row from the end, and an id >= n
         # is no vertex rather than an IndexError
@@ -121,6 +125,11 @@ def test_complement_involution_random():
         assert g.edge_count() + cg.edge_count() == g.n * (g.n - 1) // 2
 
 
+def test_induced_rejects_ids_outside_the_graph():
+    with pytest.raises(ValueError, match="vertex 3 out of range"):
+        induced(Graph(3, [(0, 1)]), [0, 3])
+
+
 def test_induced_mapping():
     g = Graph(6, [(0, 2), (2, 4), (4, 5), (1, 3)])
     sub, mapping = induced(g, [2, 4, 5])
@@ -183,6 +192,17 @@ class TestTwoColoring:
         with pytest.raises(ValueError):
             opposite("green")
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda k: TwoColoring(4, k.red), "expected 4"),
+        (lambda k: k.graph("green"), "unknown color"),
+        (lambda k: k.degree(0, "green"), "unknown color"),
+        (lambda k: k.color_of(1, 1), r"\(u, u\)"),
+        (lambda k: k.color_of(0, 3), "out of range"),
+    ], ids=["order", "graph", "degree", "same-pair", "pair-range"])
+    def test_rejects_bad_argument(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(TwoColoring(3, Graph(3, [(0, 1)])))
+
 
 class TestGraph6:
     def test_star_example(self):
@@ -233,6 +253,13 @@ class TestGraph6:
             assert set(h.edges()) == {tuple(e) for e in g.edges()}
             back = nx.to_graph6_bytes(h, header=False).decode().strip()
             assert graph6_decode(back) == g
+
+
+def test_graph6_encode_rejects_order_above_limit():
+    # 258048 shared empty rows: Graph(258048) would build a set per vertex
+    g = Graph._from_rows(((),) * 258048)
+    with pytest.raises(ValueError, match="at most 258047"):
+        graph6_encode(g)
 
 
 class TestEdgelistIO:
@@ -288,6 +315,20 @@ class TestEdgelistIO:
         path.write_text("0 -2\n")
         with pytest.raises(ParseError, match="negative vertex id"):
             read_graph(path)
+
+    def test_rejects_duplicate_edge(self, tmp_path):
+        path = tmp_path / "dup.el"
+        path.write_text("0 1\n1 0\n")
+        with pytest.raises(ParseError, match=":2: duplicate edge 1 0"):
+            read_graph(path)
+
+    def test_unknown_format_rejected(self, tmp_path):
+        path = tmp_path / "g.el"
+        with pytest.raises(ValueError, match="unknown format 'dot'"):
+            write_graph(Graph(2), path, "dot")
+        write_graph(Graph(2), path)
+        with pytest.raises(ValueError, match="unknown format 'dot'"):
+            read_graph(path, "dot")
 
     def test_rejects_loop_line(self, tmp_path):
         path = tmp_path / "loop.el"

@@ -316,6 +316,13 @@ class TestKonigCover:
         with pytest.raises(ValueError):
             konig_cover(g, ([0, 1], [2, 3]), Matching([(0, 2)]))
 
+    @pytest.mark.parametrize("sides", [([0, 1], [1, 2, 3]), ([0, 1], [2])],
+                             ids=["overlap", "missing"])
+    def test_rejects_sides_that_do_not_partition(self, sides):
+        g = Graph(4, [(0, 2), (1, 3)])
+        with pytest.raises(ValueError, match="partition"):
+            konig_cover(g, sides, max_matching(g))
+
 
 class TestEgNeighborhood:
     def test_construction_facts(self):

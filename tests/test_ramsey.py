@@ -12,6 +12,7 @@ from oracles import brute_matching, violates
 
 from fanramsey import (
     Claim,
+    FormulaResult,
     Graph,
     RamseySearchResult,
     SizeGuardError,
@@ -47,6 +48,17 @@ class TestWitnessReport:
         rep = WitnessReport(3, "star-fan",
                             (Claim("x", True), Claim("y", False)), None)
         assert not rep.all_hold
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: verify_star_fan_witness(TwoColoring(0, Graph(0)), 1, 1), "empty coloring"),
+    (lambda: verify_fan_fan_witness(TwoColoring(0, Graph(0)), 1), "empty coloring"),
+    (lambda: verify_fan_fan_witness(TwoColoring(3, Graph(3)), 0), "n must be positive"),
+    (lambda: FormulaResult("r", 2.0, 1.0, False), "lower 2.0 exceeds upper 1.0"),
+], ids=["star-fan-empty", "fan-fan-empty", "fan-fan-n", "formula-order"])
+def test_rejects_bad_argument(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestVerifyStarFan:
