@@ -85,6 +85,10 @@ class IntervalRealizationParams:
     sigma: int
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "d", "sigma"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.a < 1 or self.b < 1:
             raise ValueError("part sizes a, b must be positive")
         if self.c < 0 or self.d < 0 or self.sigma < 0:

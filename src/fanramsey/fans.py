@@ -6,7 +6,10 @@ but certifies most centers cheaply, in four tiers run on the int masks of
 Graph.bits: a greedy matching witnesses presence; a per-component bound
 (the smaller side of a bipartite component, floor(|C|/2) of any other) or
 a greedy vertex cover witnesses absence; the blossom matcher is the exact
-fallback. Only the first and last tiers build witnesses.
+fallback. Only the first and last tiers build witnesses. Within one call,
+a center whose open or closed neighborhood equals that of a center already
+found fan-free is skipped (its absence certificate: "same (closed)
+neighborhood as center u"); witnesses are the same as without the skip.
 """
 
 from __future__ import annotations
@@ -158,23 +161,44 @@ def find_fan(g: Graph, k: int) -> FanWitness | None:
 
     Vertices are scanned in descending degree order and a center needs
     degree at least 2k, so the scan stops at the first small degree.
+
+    Twin rule: a center whose open neighborhood N(v), or closed one N[v],
+    equals that of a center u already found fan-free is skipped, with the
+    certificate "same (closed) neighborhood as center u". Open twins have
+    the same G[N(v)]; for closed twins, swapping u and v maps G[N(u)] onto
+    G[N(v)]. An open mask never equals a closed one (N(v) = N[u] would put
+    u in N(v), so v in N(u), within N[u] = N(v): a loop), so one set holds
+    both. Only absences are reused and the scan order is unchanged, so the
+    first fan found, and every witness, is the same as without the rule.
     """
+    if not _is_int(k):
+        raise ValueError(f"k must be an int, got {k!r}")
     if k < 1:
         raise ValueError("fan size must be positive")
     deg = g.degrees()
+    bits = g.bits
+    fan_free: set[int] = set()
     # the sort is stable, so equal degrees keep ascending id order
     for v in sorted(range(g.n), key=lambda v: -deg[v]):
         if deg[v] < 2 * k:
             break
+        hood = bits[v]
+        closed = hood | 1 << v
+        if hood in fan_free or closed in fan_free:
+            continue
         w = _fan_at(g, v, k)
         if w is not None:
             validate_fan_witness(g, w, k)
             return w
+        fan_free.add(hood)
+        fan_free.add(closed)
     return None
 
 
 def find_mono_fan(k: TwoColoring, n: int) -> tuple[str, FanWitness] | None:
     """First monochromatic F_n over both color graphs, red scanned first."""
+    if not _is_int(n):
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("fan size must be positive")
     w = find_fan(k.red, n)
@@ -492,6 +516,8 @@ def high_degree_fan(k: TwoColoring, n: int) -> tuple[str, FanWitness] | None:
     m + floor((3n - 3m - 1)/2) >= n disjoint other-color edges among x's
     other-color neighbours. No fan there means the lemma failed: RuntimeError.
     """
+    if not _is_int(n):
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("fan size must be positive")
     first = next(((v, color) for v in range(k.n) for color in COLORS

@@ -167,12 +167,14 @@ class MultipartiteSpec:
     part_sizes: tuple[int, ...]
 
     def __init__(self, part_sizes: Sequence[int]):
-        sizes = tuple(sorted(part_sizes))
+        sizes = tuple(part_sizes)
+        if not all(map(_is_int, sizes)):
+            raise ValueError(f"part_sizes must hold ints, got {sizes!r}")
         if not sizes:
             raise ValueError("at least one part required")
         if any(s < 1 for s in sizes):
             raise ValueError("all part sizes must be positive")
-        object.__setattr__(self, "part_sizes", sizes)
+        object.__setattr__(self, "part_sizes", tuple(sorted(sizes)))
 
     @property
     def t(self) -> int:

@@ -6,7 +6,8 @@ refuse instances past their vertex guard. The library never calls them.
 
 from functools import lru_cache
 
-from fanramsey import Graph, Matching, SizeGuardError
+from fanramsey import FanWitness, Graph, Matching, SizeGuardError, validate_fan_witness
+from fanramsey import fans
 from fanramsey.ramsey import _nu_at_least
 
 BRUTE_VERTEX_GUARD = 24
@@ -133,3 +134,18 @@ def violates(adj: list[int], i: int, j: int, target: tuple[str, int]) -> bool:
             return True
         common &= common - 1
     return False
+
+
+def find_fan_every_center(g: Graph, k: int) -> FanWitness | None:
+    """find_fan without the twin rule: _fan_at at every center of degree
+    >= 2k, in descending degree order with ascending ids on ties; the first
+    witness, validated, or None."""
+    deg = g.degrees()
+    for v in sorted(range(g.n), key=lambda v: -deg[v]):
+        if deg[v] < 2 * k:
+            break
+        w = fans._fan_at(g, v, k)
+        if w is not None:
+            validate_fan_witness(g, w, k)
+            return w
+    return None

@@ -157,6 +157,15 @@ class TestIntervalParams:
         with pytest.raises(ValueError):
             IntervalRealizationParams(2, 2, -1, 0, 2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("a", 3.0), ("b", True), ("c", 1.5), ("d", 2.0), ("sigma", 2.5),
+    ])
+    def test_rejects_non_int_field(self, field, value):
+        # (3, 3, 2, 2, 2) is valid; one non-int field must name itself
+        fields = {"a": 3, "b": 3, "c": 2, "d": 2, "sigma": 2, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an int, got {value!r}"):
+            IntervalRealizationParams(**fields)
+
 
 class TestRealizeInterval:
     def test_construction_slice(self):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from fanramsey import (
     TwoColoring,
     build_complete_multipartite,
     chromatic_lower,
+    complement,
     fan_extend,
     find_extension_matching,
     find_fan,
@@ -32,7 +34,7 @@ from fanramsey import (
     validate_fan_witness,
 )
 from fanramsey import fans
-from oracles import brute_matching, cycle_oracle
+from oracles import brute_matching, cycle_oracle, find_fan_every_center
 
 
 def random_graph(rng, n, p=0.5):
@@ -122,6 +124,12 @@ class TestFindFan:
         with pytest.raises(ValueError):
             find_fan(Graph(3, []), 0)
 
+    @pytest.mark.parametrize("k", [1.5, True, "1"], ids=["float", "bool", "str"])
+    def test_rejects_non_int_k(self, k):
+        # 1.5 would be compared as a size and True read as 1
+        with pytest.raises(ValueError, match=f"k must be an int, got {k!r}"):
+            find_fan(Graph(5, [(0, 1)]), k)
+
 
 class TestFindMonoFan:
     def test_red_scanned_first(self):
@@ -137,6 +145,11 @@ class TestFindMonoFan:
 
     def test_none_when_absent(self):
         assert find_mono_fan(chromatic_lower(3), 3) is None
+
+    @pytest.mark.parametrize("n", [1.5, True], ids=["float", "bool"])
+    def test_rejects_non_int_n(self, n):
+        with pytest.raises(ValueError, match=f"n must be an int, got {n!r}"):
+            find_mono_fan(TwoColoring(3, Graph(3, [])), n)
 
 
 def test_max_blue_star():
@@ -416,6 +429,11 @@ class TestHighDegreeFan:
         k = TwoColoring(5, Graph(5, [(0, 1), (0, 2)]))
         assert high_degree_fan(k, 2) is None
 
+    @pytest.mark.parametrize("n", [1.5, True], ids=["float", "bool"])
+    def test_rejects_non_int_n(self, n):
+        with pytest.raises(ValueError, match=f"n must be an int, got {n!r}"):
+            high_degree_fan(TwoColoring(7, Graph(7, [])), n)
+
     def test_red_clique(self):
         clique = Graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
         k = TwoColoring(7, clique)
@@ -541,3 +559,80 @@ def test_component_bound_decides_without_blossom(monkeypatch, graph, k):
 
     monkeypatch.setattr(fans, "max_matching", no_blossom)
     assert find_fan(graph, k) is None
+
+
+@st.composite
+def blow_ups(draw):
+    """A base graph on <= 6 vertices with each vertex replaced by an
+    independent set or a clique of 1-4 vertices, ids shuffled: open twins
+    (same N(v)) and closed twins (same N[v]) abound."""
+    base = draw(st.integers(min_value=1, max_value=6))
+    pairs = list(itertools.combinations(range(base), 2))
+    base_edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    blocks, start = [], 0
+    for _ in range(base):
+        size = draw(st.integers(min_value=1, max_value=4))
+        blocks.append((range(start, start + size), draw(st.booleans())))
+        start += size
+    ids = draw(st.permutations(range(start)))
+    edges = []
+    for block, clique in blocks:
+        if clique:
+            edges += itertools.combinations(block, 2)
+    for i, j in base_edges:
+        edges += itertools.product(blocks[i][0], blocks[j][0])
+    return Graph(start, [(ids[u], ids[w]) for u, w in edges])
+
+
+def centers_tried(call):
+    """Run call() with fans._fan_at wrapped; its result and the centers tried."""
+    with mock.patch.object(fans, "_fan_at", wraps=fans._fan_at) as fan_at:
+        result = call()
+    return result, [c.args[1] for c in fan_at.call_args_list]
+
+
+@given(blow_ups())
+@settings(max_examples=150, deadline=None)
+def test_twin_skip_returns_the_every_center_witness(g):
+    for graph in (g, complement(g)):
+        bits = graph.bits
+        for k in range(1, 5):
+            expected, every = centers_tried(lambda: find_fan_every_center(graph, k))
+            witness, tried = centers_tried(lambda: find_fan(graph, k))
+            assert witness == expected
+            # exactly the open and closed twins of centers tried are skipped
+            kept = []
+            for v in every:
+                if not any(bits[u] == bits[v] or bits[u] | 1 << u == bits[v] | 1 << v
+                           for u in kept):
+                    kept.append(v)
+            assert tried == kept
+
+
+@pytest.mark.parametrize("graph, k, every, skipping", [
+    (turan_lower(40, 10), 10, 40, 4),
+    (star_fan_lower_special(20)[0].red, 20, 88, 66),
+], ids=["turan-40-10", "special-20-red"])
+def test_twin_skip_call_counts(graph, k, every, skipping):
+    witness, tried = centers_tried(lambda: find_fan_every_center(graph, k))
+    assert witness is None and len(tried) == every
+    witness, tried = centers_tried(lambda: find_fan(graph, k))
+    assert witness is None and len(tried) == skipping
+
+
+@pytest.mark.parametrize("twins, k, witness", [
+    # 0 and 1 both see the independent set {2, 3, 4, 5}: open twins
+    ([(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5)],
+     1, FanWitness(6, [(7, 8)])),
+    # 0 and 1 are adjacent and both see {2, 3, 4, 5}: closed twins
+    ([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5)],
+     2, FanWitness(6, [(7, 8), (9, 10)])),
+], ids=["open", "closed"])
+def test_twin_skip_fan_after_skipped_twin(twins, k, witness):
+    # center 6 has the twins' degree and a later id, and its neighbourhood
+    # holds the fan
+    degree = sum(0 in e for e in twins)
+    g = Graph(7 + degree, twins + [(6, u) for u in range(7, 7 + degree)]
+              + [(7 + 2 * i, 8 + 2 * i) for i in range(k)])
+    assert centers_tried(lambda: find_fan_every_center(g, k)) == (witness, [0, 1, 6])
+    assert centers_tried(lambda: find_fan(g, k)) == (witness, [0, 6])

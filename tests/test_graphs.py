@@ -151,6 +151,13 @@ class TestMultipartite:
         with pytest.raises(ValueError):
             MultipartiteSpec([2, 0])
 
+    @pytest.mark.parametrize("sizes", [[2.5, 1], [1, 2.0], [1, 2, True]],
+                             ids=["first-float", "second-float", "third-bool"])
+    def test_rejects_non_int_size(self, sizes):
+        # range() would fail late on 2.5, and True would count as a part of 1
+        with pytest.raises(ValueError, match="part_sizes must hold ints"):
+            MultipartiteSpec(sizes)
+
     def test_edge_count_formula(self):
         for sizes in ([2, 2, 2], [1, 1, 4], [2, 3], [1, 2, 3, 4], [5]):
             spec = MultipartiteSpec(sizes)
