@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, _is_int
+from .graphs import Graph, _int, _is_int
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,7 @@ class IntervalRealizationParams:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d", "sigma"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            _int(name, getattr(self, name))
         if self.a < 1 or self.b < 1:
             raise ValueError("part sizes a, b must be positive")
         if self.c < 0 or self.d < 0 or self.sigma < 0:

@@ -18,7 +18,7 @@ from .constructions import chromatic_lower, conditioned_coloring, dirac_threshol
     star_fan_lower, star_fan_lower_special, turan_lower
 from .errors import ParseError, UnsupportedRangeError
 from .fans import find_fan, high_degree_fan
-from .graphs import EDGELIST, FORMATS, read_coloring, read_graph, write_graph
+from .graphs import EDGELIST, FORMATS, _decimal, read_coloring, read_graph, write_graph
 from .matching import edmonds_gallai
 from .ramsey import brute_force_ramsey, fan_ramsey_bounds, star_fan_formula, \
     verify_fan_fan_witness, verify_star_fan_witness
@@ -191,13 +191,20 @@ def cmd_formula(args: argparse.Namespace) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """An ASCII decimal integer, by the rule that graph files follow."""
+    if not _decimal(text):
+        raise argparse.ArgumentTypeError(f"must be a decimal integer, got {text!r}")
+    return int(text)
+
+
 def _degree_list(text: str) -> list[int]:
     """Comma-separated degrees, e.g. '3,2,2'."""
-    return [int(t) for t in text.split(",") if t != ""]
+    return [_integer(t) for t in text.split(",") if t != ""]
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
@@ -221,15 +228,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        ("chromatic", None), ("turan", "--k")):
         p = kinds.add_parser(kind)
         if flag:
-            p.add_argument(flag, type=int, required=True)
-        p.add_argument("--n", type=int, required=True)
+            p.add_argument(flag, type=_integer, required=True)
+        p.add_argument("--n", type=_integer, required=True)
         p.add_argument("--out")
         common(p, cmd_construct)
 
     v = sub.add_parser("verify", help="verify a coloring against the targets")
     v.add_argument("input")
-    v.add_argument("--m", type=int)
-    v.add_argument("--n", type=int, required=True)
+    v.add_argument("--m", type=_integer)
+    v.add_argument("--n", type=_integer, required=True)
     common(v, cmd_verify)
 
     d = sub.add_parser("decompose", help="Gallai-Edmonds partition of a graph")
@@ -239,11 +246,11 @@ def _build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("realize", help="bipartite degree realization")
     r.add_argument("--x", type=_degree_list, help="comma-separated left degrees")
     r.add_argument("--y", type=_degree_list, help="comma-separated right degrees")
-    r.add_argument("--a", type=int)
-    r.add_argument("--b", type=int)
-    r.add_argument("--c", type=int)
-    r.add_argument("--d", type=int)
-    r.add_argument("--sigma", type=int)
+    r.add_argument("--a", type=_integer)
+    r.add_argument("--b", type=_integer)
+    r.add_argument("--c", type=_integer)
+    r.add_argument("--d", type=_integer)
+    r.add_argument("--sigma", type=_integer)
     r.add_argument("--out")
     common(r, cmd_realize)
 
@@ -253,25 +260,25 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--k", type=_positive_int)
     f.add_argument("--n", type=_positive_int)
     f.add_argument("--trials", type=_positive_int)
-    f.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    f.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
     common(f, cmd_fan_find)
 
     s = sub.add_parser("search", help="exhaustive small Ramsey number search")
     s.add_argument("blue_kind", choices=["star", "fan"])
-    s.add_argument("blue_size", type=int)
+    s.add_argument("blue_size", type=_integer)
     s.add_argument("red_kind", choices=["star", "fan"])
-    s.add_argument("red_size", type=int)
-    s.add_argument("--cap", type=int, required=True)
+    s.add_argument("red_size", type=_integer)
+    s.add_argument("--cap", type=_integer, required=True)
     s.add_argument("--workers", type=_positive_int, default=1)
     common(s, cmd_search, with_fmt=False)
 
     fo = sub.add_parser("formula", help="evaluate a bound formula")
     which = fo.add_subparsers(dest="which", required=True)
-    for name, flag, kind in (("star-fan", "--m", int), ("fan", "--epsilon", float),
-                             ("dirac", "--k", int)):
+    for name, flag, kind in (("star-fan", "--m", _integer),
+                             ("fan", "--epsilon", float), ("dirac", "--k", _integer)):
         p = which.add_parser(name)
         p.add_argument(flag, type=kind, required=True)
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=_integer, required=True)
         common(p, cmd_formula, with_fmt=False)
     return top
 

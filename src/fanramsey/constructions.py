@@ -8,13 +8,13 @@ exact search in the fans module, never assumed from the construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt, sqrt
 
 from .bigraphic import IntervalRealizationParams, realize_interval
 from .errors import UnsupportedRangeError
 from .fans import find_fan
-from .graphs import Graph, MultipartiteSpec, TwoColoring, build_complete_multipartite
+from .graphs import Graph, MultipartiteSpec, TwoColoring, _int, build_complete_multipartite
 
 
 def _block_sizes(m: int, n: int) -> tuple[int, int]:
@@ -36,36 +36,38 @@ def _block_sizes(m: int, n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ConstructionParams:
-    """Derived constants and block layout of a star-fan lower-bound coloring."""
+    """Block layout (a, b, sigma, N, X1..Y2) of the star-fan lower-bound
+    coloring, derived from (m, n) alone; UnsupportedRangeError unless
+    m > n >= 2 and both blocks are non-empty."""
 
     m: int
     n: int
-    a: int
-    b: int
-    sigma: int
-    N: int
-    x1: range
-    x2: range
-    y1: range
-    y2: range
+    a: int = field(init=False)
+    b: int = field(init=False)
+    sigma: int = field(init=False)
+    N: int = field(init=False)
+    x1: range = field(init=False)
+    x2: range = field(init=False)
+    y1: range = field(init=False)
+    y2: range = field(init=False)
 
     def __post_init__(self):
-        a, b = _block_sizes(self.m, self.n)
-        if (a, b) != (self.a, self.b):
-            raise ValueError(f"block sizes ({self.a}, {self.b}) do not match "
-                             f"the derived values ({a}, {b})")
-        if self.N != 2 * self.a + 2 * self.b:
-            raise ValueError("N must equal 2a + 2b")
-        if self.sigma != self.m + self.n - 1 - self.a - 2 * self.b:
-            raise ValueError("sigma must equal m + n - 1 - a - 2b")
-        if not 2 <= self.sigma <= 4:
-            raise ValueError(f"sigma={self.sigma} outside [2, 4]")
-        blocks = (self.x1, self.x2, self.y1, self.y2)
-        expected = (range(0, self.a), range(self.a, 2 * self.a),
-                    range(2 * self.a, 2 * self.a + self.b),
-                    range(2 * self.a + self.b, self.N))
-        if blocks != expected:
-            raise ValueError("block ranges inconsistent with a, b, N")
+        m, n = self.m, self.n
+        if not _int("m", m) > _int("n", n) >= 2:
+            raise UnsupportedRangeError(f"need m > n >= 2, got m={m}, n={n}")
+        a, b = _block_sizes(m, n)
+        if a < 1 or b < 1:
+            raise UnsupportedRangeError(
+                f"degenerate block sizes a={a}, b={b} for m={m}, n={n}")
+        sigma = m + n - 1 - a - 2 * b
+        if not 2 <= sigma <= 4:
+            raise RuntimeError(f"sigma={sigma} outside [2, 4]; derivation bug")
+        big_n = 2 * a + 2 * b
+        layout = {"a": a, "b": b, "sigma": sigma, "N": big_n,
+                  "x1": range(0, a), "x2": range(a, 2 * a),
+                  "y1": range(2 * a, 2 * a + b), "y2": range(2 * a + b, big_n)}
+        for name, value in layout.items():
+            object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -82,26 +84,15 @@ def _assemble_star_fan(m: int, n: int,
                        window: int | None = None) -> tuple[TwoColoring, ConstructionParams]:
     """The 4-block coloring for (m, n); the X_i-Y_i degree window is sigma
     unless a fixed window is given."""
-    a, b = _block_sizes(m, n)
-    if a < 1 or b < 1:
-        raise UnsupportedRangeError(
-            f"degenerate block sizes a={a}, b={b} for m={m}, n={n}")
-    sigma = m + n - 1 - a - 2 * b
-    if not 2 <= sigma <= 4:
-        raise RuntimeError(f"sigma={sigma} outside [2, 4]; derivation bug")
-    c = n - 1 - b
-    d = n - 1
+    params = ConstructionParams(m, n)
+    a, b, big_n = params.a, params.b, params.N
     try:
         partial = realize_interval(IntervalRealizationParams(
-            a, b, c, d, sigma if window is None else window))
+            a, b, n - 1 - b, n - 1, params.sigma if window is None else window))
     except ValueError as exc:
         raise RuntimeError(f"interval realization infeasible: {exc}") from exc
 
-    big_n = 2 * a + 2 * b
-    x1 = range(0, a)
-    x2 = range(a, 2 * a)
-    y1 = range(2 * a, 2 * a + b)
-    y2 = range(2 * a + b, big_n)
+    x1, x2, y1, y2 = params.x1, params.x2, params.y1, params.y2
     edges = [(u, w) for u in x1 for w in x2]
     edges += [(u, w) for u in x1 for w in y2]
     edges += [(u, w) for u in x2 for w in y1]
@@ -118,7 +109,6 @@ def _assemble_star_fan(m: int, n: int,
     witness = find_fan(red, n)
     if witness is not None:
         raise RuntimeError(f"red fan at center {witness.center}; construction bug")
-    params = ConstructionParams(m, n, a, b, sigma, big_n, x1, x2, y1, y2)
     return coloring, params
 
 
@@ -127,9 +117,8 @@ def star_fan_lower(m: int, n: int) -> tuple[TwoColoring, ConstructionParams]:
 
     Red is complete between X1-X2, X1-Y2, X2-Y1; the partial X_i-Y_i red
     bipartite graphs come from the interval realization with window sigma.
+    The range m > n >= 2 is enforced by ConstructionParams.
     """
-    if not m > n >= 2:
-        raise UnsupportedRangeError(f"need m > n >= 2, got m={m}, n={n}")
     return _assemble_star_fan(m, n)
 
 
@@ -140,7 +129,7 @@ def star_fan_lower_special(n: int) -> tuple[TwoColoring, ConstructionParams]:
     b = floor((3 - sqrt(3))*n/2) - 1; X_i-Y_i degrees land in
     [n-4-b, n-1-b] and the Y side in [n-4, n-1].
     """
-    if n < 2:
+    if _int("n", n) < 2:
         raise UnsupportedRangeError(f"need n >= 2, got n={n}")
     return _assemble_star_fan(2 * n, n, window=3)
 
@@ -166,7 +155,7 @@ def conditioned_coloring(rng: random.Random, n: int) -> TwoColoring:
 
 def chromatic_lower(n: int) -> TwoColoring:
     """Two disjoint red 2n-cliques with all blue edges between: no mono F_n on 4n."""
-    if n < 1:
+    if _int("n", n) < 1:
         raise ValueError(f"need n >= 1, got {n}")
     big_n = 4 * n
     edges = [(u, w) for base in (0, 2 * n)
@@ -183,7 +172,7 @@ def chromatic_lower(n: int) -> TwoColoring:
 
 def turan_lower(n: int, k: int) -> Graph:
     """Dense F_k-free graph on n vertices; the shape depends on alpha = k/n."""
-    if not (1 <= k and 2 * k < n):
+    if not (1 <= _int("k", k) and 2 * k < _int("n", n)):
         raise UnsupportedRangeError(f"need 1 <= k < n/2, got k={k}, n={n}")
     if 4 * k <= n:
         half = n // 2
@@ -209,7 +198,7 @@ def turan_lower(n: int, k: int) -> Graph:
 def fan_turan_number(n: int, k: int) -> int:
     """Extremal edge count for F_k-free graphs: floor(n^2/4) + k^2 - k for odd k,
     floor(n^2/4) + k^2 - 3k/2 for even k (asymptotic formula, no threshold gate)."""
-    if n < 1 or k < 1:
+    if _int("n", n) < 1 or _int("k", k) < 1:
         raise ValueError("n and k must be positive")
     base = (n * n) // 4
     if k % 2 == 1:
@@ -236,7 +225,7 @@ def dirac_threshold(n: int, k: int) -> DiracThreshold:
     """Three-regime degree threshold; the middle case carries an unresolved
     additive constant and is flagged as such. Raises UnsupportedRangeError
     when the threshold exceeds the float range."""
-    if k < 1 or 2 * k + 1 > n:
+    if _int("k", k) < 1 or 2 * k + 1 > _int("n", n):
         raise UnsupportedRangeError(f"need 1 <= k and 2k+1 <= n, got k={k}, n={n}")
     try:
         if k * k < n:

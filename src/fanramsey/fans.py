@@ -26,7 +26,7 @@ from .graphs import (
     Graph,
     MultipartiteSpec,
     TwoColoring,
-    _is_int,
+    _int,
     induced,
     opposite,
 )
@@ -55,7 +55,7 @@ class FanWitness:
 
 def validate_fan_witness(g: Graph, w: FanWitness, k: int | None = None) -> None:
     """Check distinctness, center adjacency, spoke adjacency, and disjointness."""
-    if k is not None and w.k != k:
+    if k is not None and w.k != _int("k", k):
         raise ValueError(f"witness has {w.k} spokes, expected {k}")
     vertices = [w.center]
     for u, v in w.spokes:
@@ -171,9 +171,7 @@ def find_fan(g: Graph, k: int) -> FanWitness | None:
     both. Only absences are reused and the scan order is unchanged, so the
     first fan found, and every witness, is the same as without the rule.
     """
-    if not _is_int(k):
-        raise ValueError(f"k must be an int, got {k!r}")
-    if k < 1:
+    if _int("k", k) < 1:
         raise ValueError("fan size must be positive")
     deg = g.degrees()
     bits = g.bits
@@ -197,9 +195,7 @@ def find_fan(g: Graph, k: int) -> FanWitness | None:
 
 def find_mono_fan(k: TwoColoring, n: int) -> tuple[str, FanWitness] | None:
     """First monochromatic F_n over both color graphs, red scanned first."""
-    if not _is_int(n):
-        raise ValueError(f"n must be an int, got {n!r}")
-    if n < 1:
+    if _int("n", n) < 1:
         raise ValueError("fan size must be positive")
     w = find_fan(k.red, n)
     if w is not None:
@@ -274,8 +270,7 @@ class FanExtensionInstance:
 
     def __init__(self, host: Graph, x_parts: Sequence[Iterable[int]],
                  y: Iterable[int], z: Iterable[int], lam: float, n: int):
-        if not _is_int(n):
-            raise ValueError(f"n must be an int, got {n!r}")
+        _int("n", n)
         x_parts = tuple(frozenset(p) for p in x_parts)
         y = frozenset(y)
         z = frozenset(z)
@@ -516,9 +511,7 @@ def high_degree_fan(k: TwoColoring, n: int) -> tuple[str, FanWitness] | None:
     m + floor((3n - 3m - 1)/2) >= n disjoint other-color edges among x's
     other-color neighbours. No fan there means the lemma failed: RuntimeError.
     """
-    if not _is_int(n):
-        raise ValueError(f"n must be an int, got {n!r}")
-    if n < 1:
+    if _int("n", n) < 1:
         raise ValueError("fan size must be positive")
     first = next(((v, color) for v in range(k.n) for color in COLORS
                   if k.degree(v, color) >= 3 * n), None)

@@ -27,6 +27,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _int(name: str, value):
+    """The size argument `name` itself, or a ValueError naming it when it is
+    not an int or is a bool."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return value
+
+
 def opposite(color: str) -> str:
     """The other color of a 2-coloring."""
     if color == RED:
@@ -47,7 +55,7 @@ class Graph:
     __slots__ = ("n", "_sorted", "_bits")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
+        if _int("n", n) < 0:
             raise ValueError("vertex count must be non-negative")
         sets: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
@@ -214,7 +222,7 @@ class TwoColoring:
     __slots__ = ("n", "red", "_blue")
 
     def __init__(self, n: int, red: Graph):
-        if red.n != n:
+        if red.n != _int("n", n):
             raise ValueError(f"red graph has {red.n} vertices, expected {n}")
         self.n = n
         self.red = red

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Graph, TwoColoring, _isolate, induced, opposite
+from .graphs import Graph, TwoColoring, _int, _isolate, induced, opposite
 
 
 @dataclass(frozen=True)
@@ -390,7 +390,7 @@ def eg_neighborhood_structure(k: TwoColoring, v: int, color: str, n: int) -> EGN
     2n <= |N_color(v)| < 3n of the neighborhood the theorem is applied to
     is reported informationally as window_ok.
     """
-    if n < 1:
+    if _int("n", n) < 1:
         raise ValueError("n must be positive")
     hood = k.neighbors(v, color)
     window_ok = 2 * n <= len(hood) < 3 * n

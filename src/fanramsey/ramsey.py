@@ -18,7 +18,7 @@ from multiprocessing.connection import wait
 
 from .errors import SizeGuardError, UnsupportedRangeError
 from .fans import find_fan, max_blue_star
-from .graphs import Graph, TwoColoring, _is_int
+from .graphs import Graph, TwoColoring, _int, _is_int
 
 Target = tuple[str, int]
 
@@ -72,7 +72,7 @@ def verify_star_fan_witness(k: TwoColoring, m: int, n: int) -> WitnessReport:
     """Check a coloring against blue K_{1,m} and red F_n; certify R >= N+1."""
     if k.n < 1:
         raise ValueError("empty coloring")
-    if m < 1 or n < 1:
+    if _int("m", m) < 1 or _int("n", n) < 1:
         raise ValueError("m and n must be positive")
     claims = []
     v, d = max_blue_star(k)
@@ -95,7 +95,7 @@ def verify_fan_fan_witness(k: TwoColoring, n: int) -> WitnessReport:
     """Check a coloring for monochromatic F_n in both colors; certify R(F_n) >= N+1."""
     if k.n < 1:
         raise ValueError("empty coloring")
-    if n < 1:
+    if _int("n", n) < 1:
         raise ValueError("n must be positive")
     claims = (_no_fan_claim("red", k.red, n), _no_fan_claim("blue", k.blue, n))
     bound = f"R(F_{n}) >= {k.n + 1}" if all(c.holds for c in claims) else None
@@ -131,7 +131,7 @@ def star_fan_formula(m: int, n: int) -> FormulaResult:
     """R(K_{1,m}, F_n) by regime: exact for m <= n and m >= n(n-1), a bound
     pair with additive slack (-8, +1) around (3m + sqrt(m^2+8n^2))/2 between.
     Raises UnsupportedRangeError when a value exceeds the float range."""
-    if m < 1 or n < 1:
+    if _int("m", m) < 1 or _int("n", n) < 1:
         raise ValueError("m and n must be positive")
     try:
         if m <= n:
@@ -152,7 +152,7 @@ def fan_ramsey_bounds(n: int, epsilon: float) -> FormulaResult:
     """Bounds for R(F_n): lower (3+sqrt(3))n - 8 always, upper (5+eps)n only
     once n >= 384/eps^2; the gate is reported on the result, never dropped.
     Raises UnsupportedRangeError when a bound exceeds the float range."""
-    if n < 1:
+    if _int("n", n) < 1:
         raise ValueError("n must be positive")
     if not (isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be positive and finite")
@@ -379,13 +379,11 @@ def brute_force_ramsey(blue_target: Target, red_target: Target, n_cap: int,
     """
     blue_t = _check_target(blue_target, "blue_target")
     red_t = _check_target(red_target, "red_target")
-    if not _is_int(n_cap):
-        raise ValueError(f"n_cap must be an int, got {n_cap!r}")
     limit = 8 if blue_t[0] == "fan" and red_t[0] == "fan" else 9
-    if not 1 <= n_cap <= limit:
+    if not 1 <= _int("n_cap", n_cap) <= limit:
         raise SizeGuardError(
             f"cap {n_cap} outside 1..{limit} for {blue_t[0]}-{red_t[0]} search")
-    if not _is_int(workers) or workers < 1:
+    if _int("workers", workers) < 1:
         raise ValueError(f"workers must be a positive int, got {workers!r}")
     for n in range(1, n_cap + 1):
         order = _edge_order(n)

@@ -362,6 +362,19 @@ def test_console_script_installed():
     assert json.loads(proc.stdout)["lower"] == 5.0
 
 
+# int() takes each of these tokens; graph files reject them
+@pytest.mark.parametrize("argv, flag, token", [
+    (["construct", "turan", "--n", "4_0", "--k", "1_0"], "--n", "4_0"),
+    (["fan-find", "--n", "+2", "--trials", "1"], "--n", "+2"),
+    (["realize", "--x", "1_0,+2", "--y", "6,6"], "--x", "1_0"),
+], ids=["plain", "positive", "degree-list"])
+def test_integers_are_ascii_decimal(capsys, argv, flag, token):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be a decimal integer, got {token!r}" in captured.err
+
+
 def test_main_returns_status_for_every_argv(capsys):
     assert main(["--help"]) == 0
     assert main(["nosuch"]) == 2

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from fanramsey import (
@@ -131,20 +134,34 @@ class TestStarFanSpecial:
 
 
 class TestConstructionParams:
-    def test_rejects_wrong_blocks(self):
-        with pytest.raises(ValueError):
-            ConstructionParams(10, 5, 6, 2, 3, 16, range(0, 6), range(6, 12),
-                               range(12, 14), range(14, 16))
+    # sha256 of the compact sorted-key JSON list of to_json_dict() over the
+    # 700 supported pairs 2 <= n < m <= 40 (m, then n, ascending), recorded
+    # through star_fan_lower before ConstructionParams derived the layout
+    LAYOUT_SHA256 = "b3670faa3a51e8a6435fa4cba77485c7e0bf38f77d497e093f44ce9a0d192430"
+    UNSUPPORTED = {(m, 2) for m in range(3, 41)} | {(4, 3), (5, 3), (6, 3)}
 
-    def test_rejects_wrong_n(self):
-        with pytest.raises(ValueError):
-            ConstructionParams(10, 5, 7, 2, 3, 20, range(0, 7), range(7, 14),
-                               range(14, 16), range(16, 20))
+    def test_layout_golden_table(self):
+        table, unsupported = [], set()
+        for m in range(3, 41):
+            for n in range(2, m):
+                try:
+                    built = star_fan_lower(m, n)[1].to_json_dict()
+                except UnsupportedRangeError:
+                    unsupported.add((m, n))
+                    continue
+                assert ConstructionParams(m, n).to_json_dict() == built
+                table.append(built)
+        assert unsupported == self.UNSUPPORTED
+        text = json.dumps(table, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.LAYOUT_SHA256
 
-    def test_rejects_wrong_ranges(self):
-        with pytest.raises(ValueError):
-            ConstructionParams(10, 5, 7, 2, 3, 18, range(0, 7), range(7, 14),
-                               range(16, 18), range(14, 16))
+    @pytest.mark.parametrize("m, n", [(4, 3), (5, 3), (3, 5), (1, 6)],
+                             ids=["m4-b0", "m5-b0", "m3-n5", "m1-n6"])
+    def test_rejects_unsupported_pairs(self, m, n):
+        # (4, 3) and (5, 3) give b = 0; (3, 5) and (1, 6) give non-empty
+        # blocks and sigma in [2, 4], so only the m > n gate rejects them
+        with pytest.raises(UnsupportedRangeError):
+            ConstructionParams(m, n)
 
     def test_json_dict(self):
         _, p = star_fan_lower(10, 5)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,18 +9,32 @@ from hypothesis import strategies as st
 from fanramsey import (
     BLUE,
     RED,
+    ConstructionParams,
+    FanWitness,
     Graph,
     MultipartiteSpec,
     ParseError,
     TwoColoring,
     build_complete_multipartite,
+    chromatic_lower,
     complement,
+    dirac_threshold,
+    eg_neighborhood_structure,
+    fan_ramsey_bounds,
+    fan_turan_number,
     graph6_decode,
     graph6_encode,
     induced,
     opposite,
     read_coloring,
     read_graph,
+    star_fan_formula,
+    star_fan_lower,
+    star_fan_lower_special,
+    turan_lower,
+    validate_fan_witness,
+    verify_fan_fan_witness,
+    verify_star_fan_witness,
     write_coloring,
     write_graph,
 )
@@ -209,6 +224,46 @@ class TestTwoColoring:
     def test_rejects_bad_argument(self, call, message):
         with pytest.raises(ValueError, match=message):
             call(TwoColoring(3, Graph(3, [(0, 1)])))
+
+
+# One row per size argument of a public entry point: (function, valid
+# keyword arguments, the argument to spoil). A float or bool size must not
+# reach the arithmetic, where star_fan_formula(2.5, 2) gives an exact 6.0.
+_EMPTY4 = TwoColoring(4, Graph(4))
+SIZE_ARGUMENTS = [
+    (Graph, {"n": 3}, "n"),
+    (TwoColoring, {"n": 3, "red": Graph(3)}, "n"),
+    (eg_neighborhood_structure, {"k": _EMPTY4, "v": 0, "color": RED, "n": 1}, "n"),
+    (verify_star_fan_witness, {"k": _EMPTY4, "m": 2, "n": 1}, "m"),
+    (verify_star_fan_witness, {"k": _EMPTY4, "m": 2, "n": 1}, "n"),
+    (verify_fan_fan_witness, {"k": _EMPTY4, "n": 1}, "n"),
+    (star_fan_formula, {"m": 10, "n": 5}, "m"),
+    (star_fan_formula, {"m": 10, "n": 5}, "n"),
+    (fan_ramsey_bounds, {"n": 5, "epsilon": 1.0}, "n"),
+    (ConstructionParams, {"m": 10, "n": 5}, "m"),
+    (ConstructionParams, {"m": 10, "n": 5}, "n"),
+    (star_fan_lower, {"m": 10, "n": 5}, "m"),
+    (star_fan_lower, {"m": 10, "n": 5}, "n"),
+    (star_fan_lower_special, {"n": 5}, "n"),
+    (chromatic_lower, {"n": 2}, "n"),
+    (turan_lower, {"n": 10, "k": 2}, "n"),
+    (turan_lower, {"n": 10, "k": 2}, "k"),
+    (fan_turan_number, {"n": 10, "k": 2}, "n"),
+    (fan_turan_number, {"n": 10, "k": 2}, "k"),
+    (dirac_threshold, {"n": 10, "k": 2}, "n"),
+    (dirac_threshold, {"n": 10, "k": 2}, "k"),
+    (validate_fan_witness, {"g": Graph(3, [(0, 1), (0, 2), (1, 2)]),
+                            "w": FanWitness(0, [(1, 2)]), "k": 1}, "k"),
+]
+
+
+@pytest.mark.parametrize("bad", [1.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("func, kwargs, name", SIZE_ARGUMENTS,
+                         ids=[f"{f.__name__}-{name}" for f, _, name in SIZE_ARGUMENTS])
+def test_size_arguments_must_be_ints(func, kwargs, name, bad):
+    message = f"{name} must be an int, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        func(**{**kwargs, name: bad})
 
 
 class TestGraph6:
