@@ -3,13 +3,14 @@
 A fan F_k is a center joined to every vertex of a k-edge matching, so fan
 detection reduces to matching numbers of neighborhoods. find_fan is exact
 but certifies most centers cheaply, in four tiers run on the int masks of
-Graph.bits: a greedy matching witnesses presence; a per-component bound
-(the smaller side of a bipartite component, floor(|C|/2) of any other) or
-a greedy vertex cover witnesses absence; the blossom matcher is the exact
-fallback. Only the first and last tiers build witnesses. Within one call,
-a center whose open or closed neighborhood equals that of a center already
-found fan-free is skipped (its absence certificate: "same (closed)
-neighborhood as center u"); witnesses are the same as without the skip.
+Graph.bits, in this order: a per-component bound (the smaller side of a
+bipartite component, floor(|C|/2) of any other) witnesses absence; a
+greedy matching witnesses presence; a greedy vertex cover witnesses
+absence; the blossom matcher is the exact fallback. Only the greedy and
+the blossom matcher build witnesses. Within one call, a center whose open
+or closed neighborhood equals that of a center already found fan-free is
+skipped (its absence certificate: "same (closed) neighborhood as center
+u"); witnesses are the same as without the skip.
 """
 
 from __future__ import annotations
@@ -77,26 +78,15 @@ def validate_fan_witness(g: Graph, w: FanWitness, k: int | None = None) -> None:
 def _fan_at(g: Graph, v: int, k: int) -> FanWitness | None:
     """Exact test for a k-edge matching inside N(v), cheap certificates first.
 
-    Vertex sets are int masks over original ids (see Graph.bits).
+    Vertex sets are int masks over original ids (see Graph.bits). The
+    component bound runs before the greedy: it decides most centers, and
+    when it is below k no k-edge matching exists, so the greedy could not
+    have found one and the witnesses do not depend on the order.
     """
     hood = g.neighbors(v)
     bits = g.bits
     hood_mask = bits[v]
     local = {u: bits[u] & hood_mask for u in hood}
-
-    # Presence: greedy matching, each u paired with its smallest unused
-    # neighbor; an unused neighbor below u would already have taken u.
-    used = 0
-    greedy: list[tuple[int, int]] = []
-    for u in hood:
-        free = local[u] & ~used
-        if used >> u & 1 or not free:
-            continue
-        w = (free & -free).bit_length() - 1
-        greedy.append((u, w))
-        used |= 1 << u | 1 << w
-        if len(greedy) >= k:
-            return FanWitness(v, greedy)
 
     # Absence certificate 1: each component holds at most its smaller side
     # when bipartite and floor(|C|/2) otherwise (Tutte-Berge with U empty).
@@ -126,6 +116,20 @@ def _fan_at(g: Graph, v: int, k: int) -> FanWitness | None:
         bound += min(counts) if bipartite else (counts[0] + counts[1]) // 2
     if bound < k:
         return None
+
+    # Presence: greedy matching, each u paired with its smallest unused
+    # neighbor; an unused neighbor below u would already have taken u.
+    used = 0
+    greedy: list[tuple[int, int]] = []
+    for u in hood:
+        free = local[u] & ~used
+        if used >> u & 1 or not free:
+            continue
+        w = (free & -free).bit_length() - 1
+        greedy.append((u, w))
+        used |= 1 << u | 1 << w
+        if len(greedy) >= k:
+            return FanWitness(v, greedy)
 
     # Absence certificate 2: a vertex cover of size < k bounds the matching.
     # Greedy picks maximum remaining degree, smallest id on ties.

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ParseError
@@ -57,16 +60,16 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if _int("n", n) < 0:
             raise ValueError("vertex count must be non-negative")
-        sets: list[set[int]] = [set() for _ in range(n)]
+        edges = list(edges)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            sets[u].add(v)
-            sets[v].add(u)
+        # an edge given twice, in either orientation, counts once
         self.n = n
-        self._sorted = tuple(tuple(sorted(s)) for s in sets)
+        self._sorted = tuple([row if len(set(row)) == len(row) else tuple(sorted(set(row)))
+                              for row in _rows(n, edges)])
         self._bits: tuple[int, ...] | None = None
 
     @classmethod
@@ -82,7 +85,8 @@ class Graph:
     @property
     def bits(self) -> tuple[int, ...]:
         if self._bits is None:
-            self._bits = tuple(sum(1 << u for u in row) for row in self._sorted)
+            power = [1 << u for u in range(self.n)].__getitem__
+            self._bits = tuple([sum(map(power, row)) for row in self._sorted])
         return self._bits
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -127,12 +131,35 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count()})"
 
 
+def _rows(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Sorted rows of the graph on 0..n-1 with these edges.
+
+    Each pair (u, v) has u != v and both ends in range. A pair given twice
+    is listed twice in both rows; Graph merges such repeats, and the two
+    decoders give each pair once.
+    """
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        rows[u].append(v)
+        rows[v].append(u)
+    for row in rows:
+        row.sort()
+    return tuple(map(tuple, rows))
+
+
+# bin(mask)[:1:-1] lists bit i at index i as "0" or "1"; as 0/1 bytes it
+# selects the vertices of the mask in itertools.compress
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def complement(g: Graph) -> Graph:
     """Graph with an edge exactly where g has none."""
     full = (1 << g.n) - 1
     bits = tuple((full & ~row) ^ 1 << u for u, row in enumerate(g.bits))
-    # bin() reversed lists bit i at index i; rows go through lists, see induced
-    rows = tuple(tuple([i for i, c in enumerate(bin(m)[:1:-1]) if c == "1"]) for m in bits)
+    ids = range(g.n)
+    # rows go through a list, not a generator, see induced
+    rows = tuple([tuple(compress(ids, bin(m)[:1:-1].encode().translate(_BIT_BYTES)))
+                  for m in bits])
     return Graph._from_rows(rows, bits)
 
 
@@ -302,23 +329,29 @@ def graph6_encode(g: Graph) -> str:
     return "".join(chr(c) for c in header + body)
 
 
+# the six bits of each graph6 byte, high bit first, as 0/1 bytes, by byte value
+_SIX_BITS = [b""] * 63 + [format(i, "06b").encode().translate(_BIT_BYTES) for i in range(64)]
+_NOT_GRAPH6 = re.compile("[^?-~]")
+
+
 def graph6_decode(text: str) -> Graph:
-    data = [ord(c) - 63 for c in text.strip()]
-    for pos, value in enumerate(data):
-        if not 0 <= value <= 63:
-            raise ParseError(f"invalid graph6 byte at position {pos}")
-    if not data:
+    text = text.strip()
+    bad = _NOT_GRAPH6.search(text)
+    if bad:
+        raise ParseError(f"invalid graph6 byte at position {bad.start()}")
+    if not text:
         raise ParseError("empty graph6 string")
-    if data[0] != 63:
-        n, start = data[0], 1
+    data = text.encode("ascii")
+    if data[0] != 126:
+        n, start = data[0] - 63, 1
     else:
-        long_form = data[1:2] == [63]
+        long_form = data[1:2] == b"~"
         start = 8 if long_form else 4
         if len(data) < start:
             raise ParseError("truncated graph6 header")
         n = 0
         for value in data[2 if long_form else 1:start]:
-            n = (n << 6) | value
+            n = (n << 6) | (value - 63)
         if n > _MAX_ORDER:
             raise ParseError(f"graph6 order {n} exceeds the supported {_MAX_ORDER}")
     body = data[start:]
@@ -327,20 +360,13 @@ def graph6_decode(text: str) -> Graph:
     if len(body) != size:
         raise ParseError(f"graph6 body has {len(body)} bytes, n={n} needs {size}")
     pad = 6 * size - need
-    if pad and body[-1] & ((1 << pad) - 1):
+    if pad and (body[-1] - 63) & ((1 << pad) - 1):
         raise ParseError("graph6 padding bits are not zero")
-    bits = []
-    for value in body:
-        for shift in range(5, -1, -1):
-            bits.append((value >> shift) & 1)
-    edges = []
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                edges.append((u, v))
-            k += 1
-    return Graph(n, edges)
+    bits = b"".join(map(_SIX_BITS.__getitem__, body))
+    # column v is the v bits from v(v-1)/2 on, one per pair (u, v) with u < v
+    pairs = ((u, v) for v in range(1, n)
+             for u in compress(range(v), bits[v * (v - 1) // 2:v * (v + 1) // 2]))
+    return Graph._from_rows(_rows(n, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +377,11 @@ def write_graph(g: Graph, path: str | os.PathLike, fmt: str = EDGELIST) -> None:
     """Write a graph file; edge list carries '# n=K' so order round-trips."""
     if fmt == EDGELIST:
         lines = [f"# n={g.n}"]
-        lines.extend(f"{u} {v}" for u, v in g.edges())
+        for u, row in enumerate(g._sorted):
+            higher = row[bisect_right(row, u):]
+            if higher:
+                # one join per row: the separator starts each next line with "u "
+                lines.append(f"{u} " + f"\n{u} ".join(map(str, higher)))
         text = "\n".join(lines) + "\n"
     elif fmt == GRAPH6:
         text = graph6_encode(g) + "\n"
@@ -387,41 +417,53 @@ def _decimal(token: str) -> bool:
 
 
 def _parse_edgelist(text: str, origin: str) -> Graph:
+    """Graph of an ASCII edge list; the first fault in line order is reported.
+
+    An edge line is tested first, since nearly every line is one; a line
+    that fails the test is then classed as blank, comment or fault.
+    """
     declared_n: int | None = None
-    seen: set[tuple[int, int]] = set()
+    # a dict as an insertion-ordered set: rows then fill in file order, which
+    # for a file that write_graph wrote is already sorted
+    seen: dict[tuple[int, int], None] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if len(parts) == 2:
+            a, b = parts
+            # ASCII text, where isdigit means 0-9 only
+            if a.isdigit() and b.isdigit():
+                u = int(a)
+                v = int(b)
+                if u > v:
+                    u, v = v, u
+                elif u == v:
+                    raise ParseError(f"{origin}:{lineno}: loop {u} {v} rejected")
+                size = len(seen)
+                seen[u, v] = None
+                if len(seen) == size:
+                    raise ParseError(f"{origin}:{lineno}: duplicate edge {int(a)} {int(b)}")
+                continue
+        if not parts:
             continue
-        if line.startswith("#"):
-            comment = line[1:].strip()
+        if parts[0][0] == "#":
+            comment = raw.strip()[1:].strip()
             if comment.startswith("n=") and declared_n is None:
-                if not _decimal(comment[2:].strip()):
+                count = comment[2:].strip()
+                if not count.isdigit():
                     raise ParseError(f"{origin}:{lineno}: bad vertex count {comment!r}")
-                declared_n = int(comment[2:])
+                declared_n = int(count)
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"{origin}:{lineno}: expected 'u v', got {raw!r}")
-        a, b = parts
-        if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
-            fault = "negative vertex id" if _decimal(a) and _decimal(b) else "non-integer vertex"
-            raise ParseError(f"{origin}:{lineno}: {fault} in {raw!r}")
-        u, v = int(a), int(b)
-        if u > v:
-            u, v = v, u
-        elif u == v:
-            raise ParseError(f"{origin}:{lineno}: loop {u} {v} rejected")
-        if (u, v) in seen:
-            raise ParseError(f"{origin}:{lineno}: duplicate edge {int(a)} {int(b)}")
-        seen.add((u, v))
-    max_id = max((v for _, v in seen), default=-1)
+        fault = "negative vertex id" if _decimal(a) and _decimal(b) else "non-integer vertex"
+        raise ParseError(f"{origin}:{lineno}: {fault} in {raw!r}")
+    max_id = max(map(itemgetter(1), seen), default=-1)
     n = declared_n if declared_n is not None else max_id + 1
     if n > _MAX_ORDER:
         raise ParseError(f"{origin}: order {n} exceeds the supported {_MAX_ORDER}")
     if max_id >= n:
         raise ParseError(f"{origin}: vertex {max_id} exceeds declared n={n}")
-    return Graph(n, seen)
+    return Graph._from_rows(_rows(n, seen))
 
 
 def write_coloring(k: TwoColoring, path: str | os.PathLike, fmt: str = EDGELIST) -> None:

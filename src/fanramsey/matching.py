@@ -87,7 +87,9 @@ class EGPartition:
 # ---------------------------------------------------------------------------
 
 def _find_augmenting_path(rows: Sequence[tuple[int, ...]], match: list[int],
-                          parent: list[int], root: int, dead: list[bool]) -> int:
+                          parent: list[int], root: int, dead: list[bool],
+                          used: list[bool], base: list[int], queue: list[int],
+                          odd: list[int]) -> int:
     """BFS for an augmenting path from root, contracting blossoms via base[].
 
     ``members`` maps a blossom's base to the int mask of the vertices with
@@ -95,6 +97,13 @@ def _find_augmenting_path(rows: Sequence[tuple[int, ...]], match: list[int],
     walks the mask of the vertices that join the blossom, in the ascending
     order a scan over all n would visit them, and touches no others.
     Returns the free endpoint of the path, or -1 when none exists.
+
+    The caller owns ``used``, ``parent`` and ``base`` and hands them over
+    clear (False, -1 and the identity), with ``queue`` and ``odd`` empty.
+    The search appends to ``queue`` every vertex it marks used, and to
+    ``odd`` every vertex it gives a parent outside a contraction; it
+    changes the three lists only at those vertices, so the caller clears
+    them again in time proportional to the tree, not to n.
 
     The search skips every neighbour marked in ``dead``. When it fails, it
     marks its whole tree dead: every vertex it enqueued, and their mates.
@@ -105,15 +114,11 @@ def _find_augmenting_path(rows: Sequence[tuple[int, ...]], match: list[int],
     never leave them again. Exploring them would label no live vertex and
     change no live base, so skipping them returns the same path.
     """
-    n = len(rows)
-    used = [False] * n
-    parent[:] = [-1] * n
-    base = list(range(n))
     members: dict[int, int] = {}
     used[root] = True
     # a list, not a deque, so the tree is still there when the search fails;
     # iterating a list while appending to it visits the appended items too
-    queue = [root]
+    queue.append(root)
 
     def lca(a: int, b: int) -> int:
         on_path = set()
@@ -168,6 +173,7 @@ def _find_augmenting_path(rows: Sequence[tuple[int, ...]], match: list[int],
                 bv = curbase
             elif parent[to] == -1:
                 parent[to] = v
+                odd.append(to)
                 if mt == -1:
                     return to
                 used[mt] = True
@@ -206,15 +212,21 @@ def max_matching(g: Graph) -> Matching:
                     break
     roots = [v for v in range(n) if match[v] == -1 and rows[v]]
     left = len(roots)  # exposed vertices with a neighbour, from the root on
-    parent = [-1] * n
     dead = [False] * n  # the Hungarian trees of the failed searches so far
+    # search state, allocated once and cleared after each search at the
+    # vertices the search touched
+    used = [False] * n
+    parent = [-1] * n
+    base = list(range(n))
+    queue: list[int] = []
+    odd: list[int] = []
     for v in roots:
         if match[v] != -1:
             continue
         left -= 1
         if left == 0:
             break
-        end = _find_augmenting_path(rows, match, parent, v, dead)
+        end = _find_augmenting_path(rows, match, parent, v, dead, used, base, queue, odd)
         if end != -1:
             left -= 1
         while end != -1:
@@ -223,6 +235,14 @@ def max_matching(g: Graph) -> Matching:
             match[end] = prev
             match[prev] = end
             end = after
+        for x in queue:
+            used[x] = False
+            base[x] = x
+            parent[x] = -1
+        for x in odd:
+            parent[x] = -1
+        queue.clear()
+        odd.clear()
     return Matching._from_pairs(tuple([(v, match[v]) for v in range(n) if match[v] > v]))
 
 
