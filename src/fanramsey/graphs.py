@@ -402,10 +402,15 @@ def read_graph(path: str | os.PathLike, fmt: str = EDGELIST) -> Graph:
     if fmt == EDGELIST:
         return _parse_edgelist(text, str(path))
     if fmt == GRAPH6:
-        line = text.strip()
-        if not line:
+        # one graph per file: the first non-blank line, and no other
+        lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
+                 if line.strip()]
+        if not lines:
             raise ParseError(f"{path}: empty graph6 file")
-        return graph6_decode(line.splitlines()[0])
+        g = graph6_decode(lines[0][1])
+        if len(lines) > 1:
+            raise ParseError(f"{path}:{lines[1][0]}: extra line after the graph6 string")
+        return g
     raise ValueError(f"unknown format {fmt!r}")
 
 

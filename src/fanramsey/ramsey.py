@@ -276,11 +276,12 @@ def _edge_order(n: int) -> list[tuple[int, int]]:
 
 
 # Node budget of the serial attempt at each N when workers > 1; only a search
-# past it forks workers. Measured on 2 vCPUs (Python 3.11.7): the search visits
-# about 1,050,000 nodes/s on star-star pairs and 460,000 with a fan, and forking
-# and joining two workers takes 5.0 ms (median of 40), about 5,300 star nodes.
-# Of the benchmark's pairs only R(K_{1,6}, K_{1,4}) passes 18,437 nodes at an N:
-# at N = 9 (305,471 nodes) two workers take it from 284 to 171 ms (medians of 12).
+# past it forks workers. Measured on 2 vCPUs (Python 3.11.7, medians of 5
+# runs): the search visits about 1,720,000 nodes/s on star-star pairs and
+# 600,000 with a fan, and forking and joining two workers takes 4.5 ms (median
+# of 40 per run), about 7,800 star nodes. Of the benchmark's pairs only
+# R(K_{1,6}, K_{1,4}) passes 18,437 nodes at an N: with N = 9 (305,471 nodes)
+# two workers take the call at cap 9 from 167 to 122 ms (medians of 12 per run).
 _POOL_NODE_BUDGET = 20_000
 # Each split gets at least this many prefixes per worker: at 32 per worker,
 # R(K_{1,6}, K_{1,4}) at N = 9 splits into 124 subtrees, the largest holding
@@ -303,35 +304,48 @@ def _search(blue_t: Target, red_t: Target, order: list[tuple[int, int]],
     The partial coloring must hold neither target, so that a new target
     has to use the edge just colored and each node tests only that edge.
     The search keeps this from an empty coloring, and _search_prefixes
-    keeps it because it replays prefixes that _prefixes produced.
+    keeps it because it replays prefixes that _prefixes produced. A star
+    K_{1,s} is tested before its edge is placed: both ends must have fewer
+    than s - 1 edges of that color, so a rejected star edge is never
+    written. A fan F_k is tested after: the edge is placed, and
+    _fan_through looks for an F_k through it.
     """
     n, end = len(blue), len(order)
-    # (adjacency, star size, fan size) per color; an F_k needs 2k + 1
-    # vertices, so on n <= 2k its fan size is 0 and it is never tested
-    colors = tuple((adj, size if kind == "star" else 0,
-                    size if kind == "fan" and n > 2 * size else 0)
-                   for adj, (kind, size) in ((blue, blue_t), (red, red_t)))
-    red_only = colors[1:]
+    tick = ticks.__next__
+    # degree limit and fan size per color. A fan color has limit n, which no
+    # degree reaches, so it skips the degree test while its fan size is set;
+    # an F_k needs 2k + 1 vertices, so on n <= 2k its fan size is 0 and it
+    # is never tested
+    (blue_kind, blue_size), (red_kind, red_size) = blue_t, red_t
+    blue_limit = blue_size - 1 if blue_kind == "star" else n
+    red_limit = red_size - 1 if red_kind == "star" else n
+    blue_fan = blue_size if blue_kind == "fan" and n > 2 * blue_size else 0
+    red_fan = red_size if red_kind == "fan" and n > 2 * red_size else 0
     # the last field marks an edge (i, 0), i > 1, that is blue only if
     # (i - 1, 0) is: the vertex-0 rule
     edges = [(i, j, 1 << i, 1 << j, j == 0 and i > 1) for i, j in order]
 
     def extend(idx: int) -> bool:
-        next(ticks)
+        tick()
         if idx == end:
             return leaf is None or bool(leaf(blue))
         i, j, bit_i, bit_j, to_zero = edges[idx]
-        for adj, star, fan in red_only if to_zero and not blue[i - 1] & 1 else colors:
-            adj[i] |= bit_j
-            adj[j] |= bit_i
-            if star:
-                ok = adj[i].bit_count() < star and adj[j].bit_count() < star
-            else:
-                ok = not fan or not _fan_through(adj, i, j, fan)
-            if ok and extend(idx + 1):
+        if ((not to_zero or blue[i - 1] & 1)
+                and (blue_fan or blue[i].bit_count() < blue_limit
+                     and blue[j].bit_count() < blue_limit)):
+            blue[i] |= bit_j
+            blue[j] |= bit_i
+            if not (blue_fan and _fan_through(blue, i, j, blue_fan)) and extend(idx + 1):
                 return True
-            adj[i] ^= bit_j
-            adj[j] ^= bit_i
+            blue[i] ^= bit_j
+            blue[j] ^= bit_i
+        if red_fan or red[i].bit_count() < red_limit and red[j].bit_count() < red_limit:
+            red[i] |= bit_j
+            red[j] |= bit_i
+            if not (red_fan and _fan_through(red, i, j, red_fan)) and extend(idx + 1):
+                return True
+            red[i] ^= bit_j
+            red[j] ^= bit_i
         return False
 
     return extend(idx)

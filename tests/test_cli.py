@@ -150,6 +150,22 @@ class TestDecompose:
         assert main(["decompose", str(bad)]) == 3
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("text", ["A_\nzzzz\n", "A_\nBw\n"])
+    def test_graph6_extra_line_exits_3(self, capsys, tmp_path, text):
+        bad = tmp_path / "two.g6"
+        bad.write_text(text)
+        assert main(["decompose", str(bad), "--format", "graph6"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad}:2: extra line after the graph6 string" in captured.err
+
+    def test_graph6_file_reads(self, capsys, tmp_path):
+        path = tmp_path / "p3.g6"
+        write_graph(Graph(3, [(0, 1), (1, 2)]), path, "graph6")
+        code, data = run_json(capsys, ["decompose", str(path), "--format", "graph6"])
+        assert code == 0
+        assert data["nu"] == 1
+
 
 class TestRealize:
     def test_pair_mode(self, capsys):

@@ -339,6 +339,21 @@ class TestEdgelistIO:
         write_graph(g, path, "graph6")
         assert read_graph(path, "graph6") == g
 
+    @pytest.mark.parametrize("text, line", [("A_\nzzzz\n", 2), ("A_\nBw\n", 2),
+                                            ("A_\n\n \nBw", 4)])
+    def test_graph6_extra_line_rejected(self, tmp_path, text, line):
+        # a second string, valid or not, is named by its line
+        path = tmp_path / "two.g6"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f":{line}: extra line after the graph6 string"):
+            read_graph(path, "graph6")
+
+    @pytest.mark.parametrize("text", ["A_\n", "A_", "\nA_\n\n", " A_ \r\n"])
+    def test_graph6_one_line_reads(self, tmp_path, text):
+        path = tmp_path / "one.g6"
+        path.write_text(text, newline="")
+        assert read_graph(path, "graph6") == Graph(2, [(0, 1)])
+
     def test_isolated_vertices_survive(self, tmp_path):
         g = Graph(9, [(0, 1)])
         path = tmp_path / "iso.el"

@@ -13,7 +13,7 @@ removes duplicate code or repeated work must leave all of them as they are.
 
 import hashlib
 import random
-from itertools import count
+from itertools import count, repeat
 
 import pytest
 from test_acceptance import _random_instance
@@ -216,6 +216,49 @@ def test_search_nodes_unchanged(label):
     *k[0], *k[1], k[2]))
 def test_large_search_nodes_unchanged(key):
     assert _nodes(*key) == (LARGE_NODES[key], False)
+
+
+# (blue target, red target, N) -> nodes of a search that finds no avoiding
+# coloring; star3-fan3 takes the fan branch. This and the prefix replay
+# count were recorded before each node wrote out its two colors in line
+BUDGETS = {
+    (("star", 6), ("star", 4), 9): 305_471,
+    (("star", 3), ("fan", 3), 9): 8_526,
+}
+
+
+@pytest.mark.parametrize("key", sorted(BUDGETS), ids=lambda k: "{}{}-{}{}-N{}".format(
+    *k[0], *k[1], k[2]))
+def test_node_budget_stops_at_the_same_node(key):
+    # a budget of exactly the search's nodes completes it and one fewer runs
+    # out, so each node takes its tick at the same place; the worker budget
+    # _POOL_NODE_BUDGET counts on it
+    blue, red, n = key
+
+    def run(budget):
+        return ramsey._search(blue, red, ramsey._edge_order(n), 0, [0] * n, [0] * n,
+                              repeat(None, budget))
+
+    with pytest.raises(StopIteration):
+        run(BUDGETS[key] - 1)
+    assert run(BUDGETS[key]) is False
+
+
+def test_prefix_replay_nodes_unchanged():
+    # the _search_prefixes path: each prefix colors the first 8 edges and the
+    # search resumes from there; 305,371 nodes in all, no avoiding coloring
+    n, blue, red = 9, ("star", 6), ("star", 4)
+    order, ticks = ramsey._edge_order(n), count()
+    prefixes = ramsey._prefixes(n, blue, red, order, 64)
+    assert {len(prefix) for prefix in prefixes} == {8}
+    for prefix in prefixes:
+        blue_adj, red_adj = [0] * n, [0] * n
+        for (i, j), is_blue in zip(order, prefix):
+            adj = blue_adj if is_blue else red_adj
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        assert not ramsey._search(blue, red, order, 8, blue_adj, red_adj, ticks)
+    assert next(ticks) == 305_371
 
 
 # (case, seed) -> (center, spokes); the instance is
