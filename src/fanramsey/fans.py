@@ -151,13 +151,18 @@ def _fan_at(g: Graph, v: int, k: int) -> FanWitness | None:
         cover += 1
     if cover < k:
         return None
+    return _blossom_fan(g, v, k)
 
-    sub, mapping = induced(g, hood)
+
+def _blossom_fan(g: Graph, v: int, k: int) -> FanWitness | None:
+    """F_k centred at v from a maximum matching of G[N(v)], or None when
+    that matching has fewer than k edges."""
+    sub, mapping = induced(g, g.neighbors(v))
     mm = max_matching(sub)
-    if mm.size >= k:
-        # the matching lives in subgraph ids; v is already an original id
-        return FanWitness(v, [(mapping[a], mapping[b]) for a, b in mm.edges[:k]])
-    return None
+    if mm.size < k:
+        return None
+    # the matching lives in subgraph ids; v is already an original id
+    return FanWitness(v, [(mapping[a], mapping[b]) for a, b in mm.edges[:k]])
 
 
 def find_fan(g: Graph, k: int) -> FanWitness | None:
@@ -522,15 +527,12 @@ def high_degree_fan(k: TwoColoring, n: int) -> tuple[str, FanWitness] | None:
     if first is None:
         return None
     v, color = first
-    hood = k.neighbors(v, color)
-    sub, mapping = induced(k.graph(color), hood)
-    mm = max_matching(sub)
-    if mm.size >= n:
-        w = FanWitness(v, [(mapping[a], mapping[b]) for a, b in mm.edges[:n]])
+    w = _blossom_fan(k.graph(color), v, n)
+    if w is not None:
         validate_fan_witness(k.graph(color), w, n)
         return color, w
     other = opposite(color)
-    osub, omapping = induced(k.graph(other), hood)
+    osub, omapping = induced(k.graph(other), k.neighbors(v, color))
     w = find_fan(osub, n)
     if w is None:
         raise RuntimeError(f"degree-3n lemma failed at vertex {v}: no {other} "

@@ -62,6 +62,10 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         edges = list(edges)
         for u, v in edges:
+            # type(), not isinstance: a bool is an int to isinstance, and it
+            # would sit in the rows as True; a float would fail in indexing
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r}, {v!r}) has a vertex id that is not an int")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
@@ -306,27 +310,16 @@ class TwoColoring:
 # ---------------------------------------------------------------------------
 
 def graph6_encode(g: Graph) -> str:
-    if g.n > _MAX_ORDER:
+    n = g.n
+    if n > _MAX_ORDER:
         raise ValueError(f"graph6 supports at most {_MAX_ORDER} vertices")
-    if g.n <= 62:
-        header = [g.n + 63]
-    else:
-        header = [126,
-                  ((g.n >> 12) & 63) + 63,
-                  ((g.n >> 6) & 63) + 63,
-                  (g.n & 63) + 63]
-    bits = []
-    for v, row in enumerate(g.bits):
-        bits.extend(row >> u & 1 for u in range(v))
-    body = []
-    for i in range(0, len(bits), 6):
-        group = bits[i:i + 6]
-        group += [0] * (6 - len(group))
-        value = 0
-        for bit in group:
-            value = (value << 1) | bit
-        body.append(value + 63)
-    return "".join(chr(c) for c in header + body)
+    header = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    # column v is bit u of row v for each u < v, lowest u first, the layout
+    # graph6_decode reads; range(1, n), since format(0, "00b") is "0", not ""
+    rows = g.bits
+    bits = "".join([format(rows[v] & ~(-1 << v), f"0{v}b")[::-1] for v in range(1, n)])
+    bits += "0" * (-len(bits) % 6)
+    return header + "".join([chr(int(bits[i:i + 6], 2) + 63) for i in range(0, len(bits), 6)])
 
 
 # the six bits of each graph6 byte, high bit first, as 0/1 bytes, by byte value
@@ -407,7 +400,11 @@ def read_graph(path: str | os.PathLike, fmt: str = EDGELIST) -> Graph:
                  if line.strip()]
         if not lines:
             raise ParseError(f"{path}: empty graph6 file")
-        g = graph6_decode(lines[0][1])
+        lineno, line = lines[0]
+        try:
+            g = graph6_decode(line)
+        except ParseError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
         if len(lines) > 1:
             raise ParseError(f"{path}:{lines[1][0]}: extra line after the graph6 string")
         return g

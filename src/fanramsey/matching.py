@@ -8,7 +8,7 @@ exhaustive oracles kept in tests/oracles.py.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .graphs import Graph, TwoColoring, _int, _isolate, induced, opposite
@@ -277,31 +277,21 @@ def edmonds_gallai(g: Graph) -> EGPartition:
     """Decompose via the essential-vertex characterization.
 
     D is the set of vertices some maximum matching misses, detected as
-    nu(G - v) = nu(G); A = N(D) - D; C is the rest. The odd components are
-    the components of G - A that meet D.
+    nu(G - v) = nu(G); A = N(D) - D; C is the rest. The odd components
+    D_1..D_p are the components of G[D]: every neighbour of a D vertex lies
+    in D or A, so they are also the components of G - A that meet D.
     """
     nu = max_matching(g).size
     # G - v is matched as g with v isolated, which has the same matchings
     d_set = {v for v in range(g.n) if max_matching(_isolate(g, v)).size == nu}
-    a_set = set()
-    for v in d_set:
-        a_set.update(u for u in g.neighbors(v) if u not in d_set)
-    c_set = set(range(g.n)) - d_set - a_set
-    comps = _components(g, set(range(g.n)) - a_set)
-    d_comps = []
-    for comp in comps:
-        inter = comp & d_set
-        if inter:
-            if inter != comp:
-                raise AssertionError("component of G - A mixes D and C vertices")
-            d_comps.append(comp)
-    deficiency = g.n - 2 * nu
+    a_set = frozenset(u for v in d_set for u in g.neighbors(v)) - d_set
+    d_comps = tuple(_components(g, d_set))
     return EGPartition(
-        A=frozenset(a_set),
-        C=frozenset(c_set),
-        D=tuple(d_comps),
+        A=a_set,
+        C=frozenset(range(g.n)) - d_set - a_set,
+        D=d_comps,
         p=len(d_comps),
-        deficiency=deficiency,
+        deficiency=g.n - 2 * nu,
         nu=nu,
     )
 
@@ -310,12 +300,14 @@ def edmonds_gallai(g: Graph) -> EGPartition:
 # Konig cover
 # ---------------------------------------------------------------------------
 
-def konig_cover(g: Graph, sides: tuple[Iterable[int], Iterable[int]], m: Matching) -> VertexCover:
-    """Minimum vertex cover from a maximum matching in a bipartite graph.
+def konig_cover(g: Graph, sides: tuple[Iterable[int], Iterable[int]]) -> VertexCover:
+    """Minimum vertex cover of a bipartite graph, from a maximum matching.
 
     Alternating reachability from the unmatched left vertices: the cover is
     (L minus reached) union (R intersect reached), and it meets every
-    matching edge exactly once.
+    matching edge exactly once. The reached set is the same for every
+    maximum matching (Dulmage-Mendelsohn), so the cover does not depend on
+    which one max_matching returns.
     """
     left = frozenset(sides[0])
     right = frozenset(sides[1])
@@ -324,10 +316,7 @@ def konig_cover(g: Graph, sides: tuple[Iterable[int], Iterable[int]], m: Matchin
     for u, v in g.edges():
         if (u in left) == (v in left):
             raise ValueError(f"edge ({u}, {v}) does not cross the bipartition")
-    m.validate(g)
-    if m.size != max_matching(g).size:
-        raise ValueError("matching is not maximum")
-
+    m = max_matching(g)
     mate = {}
     for u, v in m.edges:
         mate[u] = v
@@ -422,17 +411,12 @@ def eg_neighborhood_structure(k: TwoColoring, v: int, color: str, n: int) -> EGN
             applicable=False, window_ok=window_ok,
         )
     local = edmonds_gallai(sub)
+    # mapping is increasing, so the D_i keep their order by least vertex
     relabel = lambda s: frozenset(mapping[i] for i in s)
-    partition = EGPartition(
-        A=relabel(local.A),
-        C=relabel(local.C),
-        D=tuple(sorted((relabel(d) for d in local.D), key=min)),
-        p=local.p,
-        deficiency=local.deficiency,
-        nu=local.nu,
-    )
+    partition = replace(local, A=relabel(local.A), C=relabel(local.C),
+                        D=tuple(map(relabel, local.D)))
     half = sum(len(d) - 1 for d in partition.D) + len(partition.C)
-    identity_ok = (2 * len(partition.A) + half == 2 * nu) and nu <= n - 1
+    identity_ok = 2 * len(partition.A) + half == 2 * nu
     component_bound_ok = partition.p >= len(partition.A) + len(hood) - (2 * n - 2)
     other = opposite(color)
     cross_color_ok = True

@@ -94,6 +94,32 @@ def enumerate_maximum_matchings(g: Graph) -> list[Matching]:
     return sorted(out, key=lambda m: m.edges)
 
 
+def konig_cover_from(g: Graph, left: frozenset[int], m: Matching) -> frozenset[int]:
+    """Vertex cover of bipartite g read off the given maximum matching m.
+
+    Alternating reachability from the left vertices m leaves unmatched: the
+    cover is (L minus reached) union (R intersect reached).
+    """
+    mate = {}
+    for u, v in m.edges:
+        mate[u] = v
+        mate[v] = u
+    reached = {v for v in left if v not in mate}
+    stack = list(reached)
+    while stack:
+        v = stack.pop()
+        if v in left:
+            step = [u for u in g.neighbors(v) if mate.get(v) != u]
+        else:
+            step = [mate[v]] if v in mate else []
+        for u in step:
+            if u not in reached:
+                reached.add(u)
+                stack.append(u)
+    right = frozenset(range(g.n)) - left
+    return frozenset((left - reached) | (right & reached))
+
+
 def cycle_oracle(g: Graph, length: int) -> bool:
     """Exhaustive test for a cycle of the given length."""
     if g.n > CYCLE_VERTEX_GUARD:

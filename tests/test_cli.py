@@ -159,6 +159,14 @@ class TestDecompose:
         assert captured.out == ""
         assert f"{bad}:2: extra line after the graph6 string" in captured.err
 
+    def test_graph6_decode_error_exits_3(self, capsys, tmp_path):
+        bad = tmp_path / "bad.g6"
+        bad.write_text("A_zzzz\n")
+        assert main(["decompose", str(bad), "--format", "graph6"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad}:1: graph6 body has 5 bytes, n=2 needs 1" in captured.err
+
     def test_graph6_file_reads(self, capsys, tmp_path):
         path = tmp_path / "p3.g6"
         write_graph(Graph(3, [(0, 1), (1, 2)]), path, "graph6")

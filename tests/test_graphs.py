@@ -62,6 +62,13 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize("edge", [(True, 2), (2, False), (1.0, 2), (0, "1"), (None, 1)])
+    def test_rejects_ids_that_are_not_ints(self, edge):
+        # a bool once sat in the rows as True, and a float failed with a
+        # TypeError from list indexing
+        with pytest.raises(ValueError, match=re.escape(f"edge ({edge[0]!r}, {edge[1]!r})")):
+            Graph(3, [(0, 1), edge])
+
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError, match="non-negative"):
             Graph(-1)
@@ -346,6 +353,13 @@ class TestEdgelistIO:
         path = tmp_path / "two.g6"
         path.write_text(text)
         with pytest.raises(ParseError, match=f":{line}: extra line after the graph6 string"):
+            read_graph(path, "graph6")
+
+    @pytest.mark.parametrize("text, line", [("A_zzzz\n", 1), ("\n\nD?\n", 3), ("A`", 1)])
+    def test_graph6_decode_error_names_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.g6"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{line}: graph6 "):
             read_graph(path, "graph6")
 
     @pytest.mark.parametrize("text", ["A_\n", "A_", "\nA_\n\n", " A_ \r\n"])

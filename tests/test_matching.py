@@ -23,7 +23,7 @@ from fanramsey import (
 )
 from fanramsey import matching
 from fanramsey.graphs import _isolate
-from oracles import brute_matching, enumerate_maximum_matchings, validate_graph
+from oracles import brute_matching, enumerate_maximum_matchings, konig_cover_from, validate_graph
 
 
 def random_graph(rng, n, p=0.5):
@@ -299,29 +299,37 @@ class TestKonigCover:
             edges = [(u, a + w) for u in range(a) for w in range(b)
                      if rng.random() < 0.5]
             g = Graph(a + b, edges)
-            m = max_matching(g)
-            cover = konig_cover(g, (range(a), range(a, a + b)), m)
-            assert cover.size == m.size
+            cover = konig_cover(g, (range(a), range(a, a + b)))
+            assert cover.size == max_matching(g).size
             chosen = set(cover.vertices)
             for u, v in g.edges():
                 assert u in chosen or v in chosen
 
+    def test_same_cover_from_every_maximum_matching(self):
+        # the cover konig_cover reads off its own matching is the one every
+        # other maximum matching gives
+        rng = random.Random(23)
+        for _ in range(200):
+            a = rng.randint(1, 5)
+            b = rng.randint(1, 5)
+            edges = [(u, a + w) for u in range(a) for w in range(b)
+                     if rng.random() < rng.choice([0.3, 0.5, 0.7])]
+            g = Graph(a + b, edges)
+            cover = konig_cover(g, (range(a), range(a, a + b))).vertices
+            for m in enumerate_maximum_matchings(g):
+                assert konig_cover_from(g, frozenset(range(a)), m) == cover
+
     def test_rejects_non_bipartite_edge(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(ValueError):
-            konig_cover(g, ([0, 1], [2]), max_matching(g))
-
-    def test_rejects_non_maximum(self):
-        g = Graph(4, [(0, 2), (1, 3)])
-        with pytest.raises(ValueError):
-            konig_cover(g, ([0, 1], [2, 3]), Matching([(0, 2)]))
+            konig_cover(g, ([0, 1], [2]))
 
     @pytest.mark.parametrize("sides", [([0, 1], [1, 2, 3]), ([0, 1], [2])],
                              ids=["overlap", "missing"])
     def test_rejects_sides_that_do_not_partition(self, sides):
         g = Graph(4, [(0, 2), (1, 3)])
         with pytest.raises(ValueError, match="partition"):
-            konig_cover(g, sides, max_matching(g))
+            konig_cover(g, sides)
 
 
 class TestEgNeighborhood:
