@@ -140,8 +140,16 @@ def cmd_realize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reject(args: argparse.Namespace, mode: str, *names: str) -> None:
+    """A usage error for the first flag of names that was given."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValueError(f"{mode} does not take --{name}")
+
+
 def cmd_fan_find(args: argparse.Namespace) -> int:
     if args.input is not None:
+        _reject(args, "fan-find on a file", "n", "trials", "seed")
         if args.k is None:
             raise ValueError("fan-find on a file requires --k")
         w = find_fan(read_graph(args.input, args.fmt), args.k)
@@ -152,12 +160,14 @@ def cmd_fan_find(args: argparse.Namespace) -> int:
             _emit(args, payload, [f"F_{args.k} centered at {w.center}",
                                   f"spokes: {list(w.spokes)}"])
         return 0
+    _reject(args, "fan-find trial mode", "k")
     if args.n is None or args.trials is None:
         raise ValueError("fan-find trial mode requires --n and --trials")
-    rng = random.Random(args.seed)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    rng = random.Random(seed)
     found = sum(high_degree_fan(conditioned_coloring(rng, args.n), args.n) is not None
                 for _ in range(args.trials))
-    payload = {"trials": args.trials, "found": found, "n": args.n, "seed": args.seed}
+    payload = {"trials": args.trials, "found": found, "n": args.n, "seed": seed}
     _emit(args, payload, [f"{found}/{args.trials} conditioned trials produced "
                           f"a monochromatic F_{args.n}"])
     return 0 if found == args.trials else 1
@@ -166,7 +176,7 @@ def cmd_fan_find(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     result = brute_force_ramsey((args.blue_kind, args.blue_size),
                                 (args.red_kind, args.red_size),
-                                args.cap, workers=args.workers)
+                                args.cap)
     _emit(args, result.to_json_dict(), [result.describe()])
     return 0
 
@@ -260,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--k", type=_positive_int)
     f.add_argument("--n", type=_positive_int)
     f.add_argument("--trials", type=_positive_int)
-    f.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
+    f.add_argument("--seed", type=_integer, help=f"trial mode only; default {DEFAULT_SEED}")
     common(f, cmd_fan_find)
 
     s = sub.add_parser("search", help="exhaustive small Ramsey number search")
@@ -269,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("red_kind", choices=["star", "fan"])
     s.add_argument("red_size", type=_integer)
     s.add_argument("--cap", type=_integer, required=True)
-    s.add_argument("--workers", type=_positive_int, default=1)
     common(s, cmd_search, with_fmt=False)
 
     fo = sub.add_parser("formula", help="evaluate a bound formula")

@@ -55,13 +55,17 @@ class FanWitness:
 
 
 def validate_fan_witness(g: Graph, w: FanWitness, k: int | None = None) -> None:
-    """Check distinctness, center adjacency, spoke adjacency, and disjointness."""
+    """Check vertex ids, distinctness, center adjacency, spoke adjacency, and disjointness."""
     if k is not None and w.k != _int("k", k):
         raise ValueError(f"witness has {w.k} spokes, expected {k}")
     vertices = [w.center]
     for u, v in w.spokes:
         vertices.append(u)
         vertices.append(v)
+    for x in vertices:
+        # the id rule of Graph.__init__: an int, not a bool, in 0..n-1
+        if type(x) is not int or not 0 <= x < g.n:
+            raise ValueError(f"fan vertex {x!r} is not a vertex of the graph")
     if len(set(vertices)) != len(vertices):
         raise ValueError("fan vertices are not distinct")
     for u, v in w.spokes:

@@ -3,18 +3,15 @@
 Witness verification never trusts the construction that produced a coloring:
 star absence is read off the maximum blue degree and fan absence comes from
 the exact fan search. The brute-force oracle decides tiny Ramsey numbers by
-backtracking over edge colorings with incremental forbidden-subgraph checks.
+backtracking over lex-leader edge colorings with incremental target checks.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
+from dataclasses import dataclass
 from itertools import repeat
-from dataclasses import dataclass, field
 from math import inf, isfinite, sqrt
-from multiprocessing.connection import wait
 
 from .errors import SizeGuardError, UnsupportedRangeError
 from .fans import find_fan, max_blue_star
@@ -271,46 +268,46 @@ def _fan_through(adj: list[int], i: int, j: int, k: int) -> bool:
     return False
 
 
-def _edge_order(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, n) for j in range(i)]
+def _edge_table(n: int) -> list[tuple[int, int, int, int, int, int]]:
+    """The edges of K_n in search order, row by row: (i, j, 1 << i, 1 << j,
+    pair a, pair b) for i = 1..n-1, j < i.
 
-
-# Node budget of the serial attempt at each N when workers > 1; only a search
-# past it forks workers. Measured on 2 vCPUs (Python 3.11.7, medians of 5
-# runs): the search visits about 1,720,000 nodes/s on star-star pairs and
-# 600,000 with a fan, and forking and joining two workers takes 4.5 ms (median
-# of 40 per run), about 7,800 star nodes. Of the benchmark's pairs only
-# R(K_{1,6}, K_{1,4}) passes 18,437 nodes at an N: with N = 9 (305,471 nodes)
-# two workers take the call at cap 9 from 167 to 122 ms (medians of 12 per run).
-_POOL_NODE_BUDGET = 20_000
-# Each split gets at least this many prefixes per worker: at 32 per worker,
-# R(K_{1,6}, K_{1,4}) at N = 9 splits into 124 subtrees, the largest holding
-# 6% of the nodes (at 3 per worker: 6 subtrees, the largest 52%).
-_PREFIXES_PER_WORKER = 32
-_FOUND = 3  # exit code of a worker that finds an avoiding coloring
-
-
-def _search(blue_t: Target, red_t: Target, order: list[tuple[int, int]],
-            idx: int, blue: list[int], red: list[int], ticks: Iterator,
-            leaf: Callable[[list[int]], object] | None = None) -> bool:
-    """True iff some completion of the partial coloring avoids both targets.
-
-    Blue is tried before red; edges to vertex 0 are forced non-increasing
-    (blue block first) since permuting vertices 1..n-1 preserves avoidance.
-    Each node takes one item of ticks, so a finite ticks is a node budget
-    and StopIteration from it means the budget ran out. A completion is
-    accepted when leaf(blue) is truthy, or always when leaf is None.
-
-    The partial coloring must hold neither target, so that a new target
-    has to use the edge just colored and each node tests only that edge.
-    The search keeps this from an empty coloring, and _search_prefixes
-    keeps it because it replays prefixes that _prefixes produced. A star
-    K_{1,s} is tested before its edge is placed: both ends must have fewer
-    than s - 1 edges of that color, so a rejected star edge is never
-    written. A fan F_k is tested after: the edge is placed, and
-    _fan_through looks for an F_k through it.
+    Pair p, given as the bit 1 << p (0 where none), is rows p and p + 1.
+    Coloring (i, j) completes pair a = i - 1 at column j when j < i - 1,
+    and pair b = j - 1 at column i when j >= 1. Their row-p entries,
+    (i - 1, j) and (i, j - 1), are colored before (i, j), and each pair
+    meets its columns in ascending order. No field depends on n, so the
+    table of K_n is a prefix of the table of K_{n+1}.
     """
-    n, end = len(blue), len(order)
+    return [(i, j, 1 << i, 1 << j, 1 << i - 1 if j < i - 1 else 0,
+             1 << j - 1 if j else 0)
+            for i in range(1, n) for j in range(i)]
+
+
+def _search(blue_t: Target, red_t: Target, n: int,
+            edges: list[tuple[int, int, int, int, int, int]], ticks: Iterator) -> bool:
+    """True iff some 2-coloring of K_n avoids a blue blue_t and a red red_t.
+
+    Edges are colored in the order of edges, an _edge_table of n or more
+    vertices, blue before red. The one symmetry rule is the lex-leader row
+    order: row p of the blue adjacency matrix is >= row p + 1, blue above
+    red, over the columns in ascending order without p and p + 1. Codish,
+    Miller, Prosser and Stuckey ("Breaking symmetries in graph
+    representation", IJCAI 2013) show that every graph has a relabelling
+    with row i <= row j so for all i < j, hence for adjacent rows; applied
+    to the red graph, whose complement is blue, the <= becomes >=.
+    Avoidance survives relabelling, so the rule loses no answer. Its
+    column-0 case makes edge (i, 0), i > 1, blue only if (i - 1, 0) is.
+
+    Each node takes one item of ticks: a finite ticks is a node budget,
+    and StopIteration means it ran out.
+
+    The partial coloring never holds a target, so each node tests only
+    the edge just colored: a star K_{1,s} before the edge is placed (both
+    ends must have fewer than s - 1 edges of that color), a fan F_k after,
+    by _fan_through.
+    """
+    blue, red, end = [0] * n, [0] * n, n * (n - 1) // 2
     tick = ticks.__next__
     # degree limit and fan size per color. A fan color has limit n, which no
     # degree reaches, so it skips the degree test while its fan size is set;
@@ -321,63 +318,37 @@ def _search(blue_t: Target, red_t: Target, order: list[tuple[int, int]],
     red_limit = red_size - 1 if red_kind == "star" else n
     blue_fan = blue_size if blue_kind == "fan" and n > 2 * blue_size else 0
     red_fan = red_size if red_kind == "fan" and n > 2 * red_size else 0
-    # the last field marks an edge (i, 0), i > 1, that is blue only if
-    # (i - 1, 0) is: the vertex-0 rule
-    edges = [(i, j, 1 << i, 1 << j, j == 0 and i > 1) for i, j in order]
 
-    def extend(idx: int) -> bool:
+    def extend(idx: int, ties: int) -> bool:
+        # ties: a bit per pair of rows that is equal on the columns so far
         tick()
         if idx == end:
-            return leaf is None or bool(leaf(blue))
-        i, j, bit_i, bit_j, to_zero = edges[idx]
-        if ((not to_zero or blue[i - 1] & 1)
-                and (blue_fan or blue[i].bit_count() < blue_limit
-                     and blue[j].bit_count() < blue_limit)):
+            return True
+        i, j, bit_i, bit_j, pair_a, pair_b = edges[idx]
+        # the compared pairs whose row-p entry is blue: blue keeps them tied
+        # and red unties them; blue under a tied red row-p entry is barred
+        above = ((pair_a if blue[i - 1] & bit_j else 0)
+                 | (pair_b if blue[i] & bit_j >> 1 else 0))
+        blue_ok = not ties & (pair_a | pair_b) & ~above
+        red_ties = ties & ~above
+        if (blue_ok and (blue_fan or blue[i].bit_count() < blue_limit
+                         and blue[j].bit_count() < blue_limit)):
             blue[i] |= bit_j
             blue[j] |= bit_i
-            if not (blue_fan and _fan_through(blue, i, j, blue_fan)) and extend(idx + 1):
+            if not (blue_fan and _fan_through(blue, i, j, blue_fan)) and extend(idx + 1, ties):
                 return True
             blue[i] ^= bit_j
             blue[j] ^= bit_i
         if red_fan or red[i].bit_count() < red_limit and red[j].bit_count() < red_limit:
             red[i] |= bit_j
             red[j] |= bit_i
-            if not (red_fan and _fan_through(red, i, j, red_fan)) and extend(idx + 1):
+            if not (red_fan and _fan_through(red, i, j, red_fan)) and extend(idx + 1, red_ties):
                 return True
             red[i] ^= bit_j
             red[j] ^= bit_i
         return False
 
-    return extend(idx)
-
-
-def _prefixes(n: int, blue_t: Target, red_t: Target,
-              order: list[tuple[int, int]], parts: int) -> list[tuple[int, ...]]:
-    """The colorings of the first edges that _search would extend, at the
-    least depth that gives at least `parts` of them, or at full depth."""
-    depth, out = 0, [()]
-    while out and len(out) < parts and depth < len(order):
-        depth += 1
-        head, out = order[:depth], []
-        # the leaf records each coloring of head and rejects it, so the
-        # search goes on to the next one
-        _search(blue_t, red_t, head, 0, [0] * n, [0] * n, repeat(None),
-                lambda blue: out.append(tuple(blue[i] >> j & 1 for i, j in head)))
-    return out
-
-
-def _search_prefixes(n: int, blue_t: Target, red_t: Target,
-                     prefixes: list[tuple[int, ...]]) -> None:
-    """Worker: exit with _FOUND once a prefix extends to an avoiding coloring."""
-    order = _edge_order(n)
-    for prefix in prefixes:
-        blue, red = [0] * n, [0] * n
-        for (i, j), is_blue in zip(order, prefix):
-            adj = blue if is_blue else red
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        if _search(blue_t, red_t, order, len(prefix), blue, red, repeat(None)):
-            raise SystemExit(_FOUND)
+    return extend(0, (1 << n) - 1)
 
 
 def brute_force_ramsey(blue_target: Target, red_target: Target, n_cap: int,
@@ -385,11 +356,10 @@ def brute_force_ramsey(blue_target: Target, red_target: Target, n_cap: int,
     """Least N forcing the blue target or the red target in every 2-coloring
     of K_N, or a first-class ">= n_cap + 1" when the cap is reached.
 
-    With workers > 1, each N first runs serially under a node budget of a
-    few times the cost of forking workers; only a search past it is split
-    into prefixes for min(workers, CPU count) processes forked for that N.
-    The first avoiding coloring settles the N and kills the other workers;
-    RuntimeError reports a worker that failed. The answer equals the serial one.
+    Each N is one _search under the lex-leader row rule, in this process;
+    the edge table is built once for n_cap and each N reads its prefix.
+    workers must be a positive int and has no effect: the search starts no
+    process, and the argument is kept for callers that pass it.
     """
     blue_t = _check_target(blue_target, "blue_target")
     red_t = _check_target(red_target, "red_target")
@@ -399,34 +369,8 @@ def brute_force_ramsey(blue_target: Target, red_target: Target, n_cap: int,
             f"cap {n_cap} outside 1..{limit} for {blue_t[0]}-{red_t[0]} search")
     if _int("workers", workers) < 1:
         raise ValueError(f"workers must be a positive int, got {workers!r}")
+    edges = _edge_table(n_cap)
     for n in range(1, n_cap + 1):
-        order = _edge_order(n)
-        try:
-            ticks = repeat(None, _POOL_NODE_BUDGET) if workers > 1 else repeat(None)
-            found = _search(blue_t, red_t, order, 0, [0] * n, [0] * n, ticks)
-        except StopIteration:
-            # more processes than CPUs cannot run at once; workers > 1 alone
-            # still leads here, so a one-CPU host forks one worker
-            size = min(workers, os.cpu_count() or 1)
-            prefixes = _prefixes(n, blue_t, red_t, order, _PREFIXES_PER_WORKER * size)
-            found, running = False, {}
-            try:
-                for w in range(size):
-                    worker = multiprocessing.get_context("fork").Process(
-                        target=_search_prefixes, args=(n, blue_t, red_t, prefixes[w::size]))
-                    worker.start()
-                    running[worker.sentinel] = worker
-                while running and not found:
-                    for sentinel in wait(list(running)):
-                        running[sentinel].join()
-                        code = running.pop(sentinel).exitcode
-                        if code not in (0, _FOUND):
-                            raise RuntimeError(f"search worker exited with code {code}")
-                        found = found or code == _FOUND
-            finally:
-                for worker in running.values():
-                    worker.kill()
-                    worker.join()
-        if not found:
+        if not _search(blue_t, red_t, n, edges, repeat(None)):
             return RamseySearchResult(blue_t, red_t, n_cap, n)
     return RamseySearchResult(blue_t, red_t, n_cap, None)

@@ -4,14 +4,16 @@ Each one is small, slow and obviously correct, and the exhaustive ones
 refuse instances past their vertex guard. The library never calls them.
 """
 
+from collections.abc import Iterator
 from functools import lru_cache
 
 from fanramsey import FanWitness, Graph, Matching, SizeGuardError, validate_fan_witness
 from fanramsey import fans
-from fanramsey.ramsey import _nu_at_least
+from fanramsey.ramsey import _fan_through, _nu_at_least
 
 BRUTE_VERTEX_GUARD = 24
 CYCLE_VERTEX_GUARD = 12
+SEARCH_VERTEX_GUARD = 11
 
 
 def validate_graph(g: Graph) -> None:
@@ -160,6 +162,51 @@ def violates(adj: list[int], i: int, j: int, target: tuple[str, int]) -> bool:
             return True
         common &= common - 1
     return False
+
+
+def vertex_zero_search(blue_t: tuple[str, int], red_t: tuple[str, int], n: int,
+                       ticks: Iterator) -> bool:
+    """ramsey._search before the lex-leader row rule: the same edge order,
+    branch order and target tests, with the vertex-0 rule as the only
+    symmetry break (edge (i, 0), i > 1, is blue only if (i - 1, 0) is).
+    True iff some 2-coloring of K_n avoids both targets; each node takes
+    one item of ticks."""
+    if n > SEARCH_VERTEX_GUARD:
+        raise SizeGuardError(f"vertex_zero_search limited to {SEARCH_VERTEX_GUARD} vertices, got {n}")
+    order = [(i, j) for i in range(1, n) for j in range(i)]
+    blue, red, end = [0] * n, [0] * n, len(order)
+    tick = ticks.__next__
+
+    def limits(kind: str, size: int) -> tuple[int, int]:
+        # (degree limit, fan size): see ramsey._search
+        if kind == "star":
+            return size - 1, 0
+        return n, size if n > 2 * size else 0
+
+    blue_limit, blue_fan = limits(*blue_t)
+    red_limit, red_fan = limits(*red_t)
+
+    def place(adj: list[int], limit: int, fan: int, i: int, j: int, idx: int) -> bool:
+        if not fan and (adj[i].bit_count() >= limit or adj[j].bit_count() >= limit):
+            return False
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+        if not (fan and _fan_through(adj, i, j, fan)) and extend(idx + 1):
+            return True
+        adj[i] ^= 1 << j
+        adj[j] ^= 1 << i
+        return False
+
+    def extend(idx: int) -> bool:
+        tick()
+        if idx == end:
+            return True
+        i, j = order[idx]
+        if (j > 0 or i == 1 or blue[i - 1] & 1) and place(blue, blue_limit, blue_fan, i, j, idx):
+            return True
+        return place(red, red_limit, red_fan, i, j, idx)
+
+    return extend(0)
 
 
 def find_fan_every_center(g: Graph, k: int) -> FanWitness | None:

@@ -278,6 +278,21 @@ class TestFanFind:
         assert main(["fan-find"] + argv) == 2
         assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--n", "2", "--trials", "1", "--k", "5"], "--k"),
+        (["FILE", "--k", "1", "--n", "3", "--trials", "2"], "--n"),
+        (["FILE", "--k", "1", "--trials", "2"], "--trials"),
+        (["FILE", "--k", "1", "--seed", "7"], "--seed"),
+    ], ids=["k-in-trial-mode", "n-on-a-file", "trials-on-a-file", "seed-on-a-file"])
+    def test_each_mode_rejects_the_other_modes_flags(self, capsys, tmp_path, argv, flag):
+        path = tmp_path / "g.el"
+        write_graph(Graph(3, [(0, 1)]), path)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        assert main(["fan-find"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"does not take {flag}" in captured.err
+
     def test_trial_mode_lemma_failure_exits_1(self, capsys, monkeypatch):
         star = TwoColoring(7, Graph(7, [(0, v) for v in range(1, 7)]))
         monkeypatch.setattr(cli, "conditioned_coloring", lambda rng, n: star)
@@ -303,18 +318,11 @@ class TestSearch:
     def test_over_cap_exits_2(self, capsys):
         assert main(["search", "fan", "2", "fan", "2", "--cap", "9"]) == 2
 
-    def test_workers_flag_matches_serial(self, capsys):
-        _, serial = run_json(capsys, ["search", "fan", "1", "fan", "1",
-                                      "--cap", "8", "--workers", "1"])
-        _, parallel = run_json(capsys, ["search", "fan", "1", "fan", "1",
-                                        "--cap", "8", "--workers", "3"])
-        assert serial == parallel
-
-    @pytest.mark.parametrize("value", ["0", "-5"])
-    def test_workers_below_one_exit_2(self, capsys, value):
-        argv = ["search", "star", "1", "fan", "2", "--cap", "9"]
-        assert main(argv + ["--workers", value]) == 2
-        assert "positive integer" in capsys.readouterr().err
+    def test_workers_flag_is_a_usage_error(self, capsys):
+        # the search runs in one process and takes no --workers
+        argv = ["search", "star", "6", "star", "4", "--cap", "9"]
+        assert main(argv + ["--workers", "2"]) == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 class TestFormula:

@@ -87,7 +87,15 @@ class TestFanWitness:
                                                 (0, [(1, -1)]), (0, [(1, 4)])])
     def test_validate_rejects_ids_outside_the_graph(self, center, spokes):
         k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-        with pytest.raises(ValueError, match="not adjacent"):
+        with pytest.raises(ValueError, match="not a vertex of the graph"):
+            validate_fan_witness(k4, FanWitness(center, spokes))
+
+    @pytest.mark.parametrize("center, spokes", [(99, []), (-1, []), (True, []),
+                                                (True, [(2, 3)]), (0.0, [(1, 2)])])
+    def test_validate_rejects_a_center_that_is_not_a_vertex(self, center, spokes):
+        # the id rule of Graph: an int in 0..n-1, and never a bool
+        k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+        with pytest.raises(ValueError, match=f"fan vertex {center!r} is not a vertex"):
             validate_fan_witness(k4, FanWitness(center, spokes))
 
 

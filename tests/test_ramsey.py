@@ -2,13 +2,12 @@ import math
 import multiprocessing
 import os
 import random
-import threading
-import time
+from itertools import count, repeat
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import brute_matching, violates
+from oracles import brute_matching, vertex_zero_search, violates
 
 from fanramsey import (
     Claim,
@@ -282,6 +281,16 @@ class TestBruteForce:
                 multi = brute_force_ramsey(blue, red, cap, workers=workers)
                 assert multi.to_json_dict() == single.to_json_dict()
 
+    def test_workers_start_no_process(self, monkeypatch):
+        # workers is checked and has no effect; star6-star4 at N = 9 is the
+        # largest search the caps allow (7,105 nodes)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search started a process")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        assert brute_force_ramsey(("star", 6), ("star", 4), 9, workers=2).value == 9
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_worker_count_below_one(self, workers):
         with pytest.raises(ValueError, match="workers"):
@@ -369,135 +378,37 @@ def test_nu_at_least_agrees_with_brute_matching(case):
     assert ramsey._nu_at_least(mask, list(g.bits), k) == (brute_matching(sub).size >= k)
 
 
-class TestPoolPath:
-    """workers > 1 with the node budget at 0, so every N forks its workers."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        monkeypatch.setattr(ramsey, "_POOL_NODE_BUDGET", 0)
-        started = []
-        get_context = multiprocessing.get_context
-
-        def counting(method):
-            started.append(method)
-            return get_context(method)
-
-        monkeypatch.setattr(ramsey.multiprocessing, "get_context", counting)
-        return started
-
-    @pytest.mark.parametrize("blue, red, cap", [
-        (("star", 2), ("fan", 2), 9),   # exact; N = 1..4 settled by an early True
-        (("star", 3), ("star", 3), 9),  # exact
-        (("fan", 2), ("fan", 2), 8),    # reaches its cap
-    ])
-    @pytest.mark.parametrize("budget", [0, 5])
-    def test_matches_serial(self, forks, monkeypatch, budget, blue, red, cap):
-        # at 5 nodes N = 1, 2 finish serially and the first fork comes later
-        monkeypatch.setattr(ramsey, "_POOL_NODE_BUDGET", budget)
-        single = brute_force_ramsey(blue, red, cap, workers=1)
-        assert not forks
-        for workers in (2, 3):
-            multi = brute_force_ramsey(blue, red, cap, workers=workers)
-            assert multi.to_json_dict() == single.to_json_dict()
-            assert not multiprocessing.active_children()
-        assert forks
-
-    def test_cheap_search_starts_no_pool(self, forks, monkeypatch):
-        monkeypatch.setattr(ramsey, "_POOL_NODE_BUDGET", 20_000)
-        assert brute_force_ramsey(("star", 2), ("fan", 3), 9, workers=2).value == 7
-        assert not forks
-
-    def test_no_task_of_an_earlier_n_runs_behind_a_later_one(self, forks, monkeypatch):
-        # each worker stalls for 10 s at its first prefix at N = 5 unless it
-        # is the first prefix, which holds an avoiding coloring; that answer
-        # must end the stalled worker, or N = 6 waits behind it
-        fan2, n = ("fan", 2), 5
-        order5 = ramsey._edge_order(n)
-        first = ramsey._prefixes(n, fan2, fan2, order5, 64)[0]
-        parent, search, stalled = os.getpid(), ramsey._search, []
-
-        def stalling(blue_t, red_t, order, idx, blue, red, budget, leaf=None):
-            if (os.getpid() != parent and not stalled and order == order5
-                    and idx == len(first)
-                    and tuple(blue[i] >> j & 1 for i, j in order[:idx]) != first):
-                stalled.append(idx)
-                time.sleep(10)
-            return search(blue_t, red_t, order, idx, blue, red, budget, leaf)
-
-        monkeypatch.setattr(ramsey, "_search", stalling)
-        start = time.perf_counter()
-        assert brute_force_ramsey(fan2, fan2, 8, workers=2).value is None
-        assert time.perf_counter() - start < 10
-        assert len(forks) >= 2
-
-    def test_no_process_left_after_a_worker_raises(self, forks, monkeypatch, capfd):
-        parent = os.getpid()
-        search = ramsey._search
-
-        def failing_in_workers(*args):
-            if os.getpid() != parent:
-                raise RuntimeError("search failed in a worker")
-            return search(*args)
-
-        monkeypatch.setattr(ramsey, "_search", failing_in_workers)
-        with pytest.raises(RuntimeError, match="exited with code 1"):
-            brute_force_ramsey(("star", 2), ("fan", 2), 9, workers=2)
-        # the worker's own traceback goes to the inherited stderr
-        assert "search failed in a worker" in capfd.readouterr().err
-        assert forks
-        assert not multiprocessing.active_children()
-
-    def test_parent_starts_no_thread(self, forks, monkeypatch):
-        # a thread in the parent would make each fork unsafe (Python 3.12
-        # warns of it), so the workers are forked and awaited without one
-        def refuse(thread):
-            raise RuntimeError(f"thread {thread.name} started")
-
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        assert brute_force_ramsey(("star", 3), ("star", 3), 9, workers=2).value == 6
-        assert forks
+# every target class whose search fits in the caps: no 2-coloring of K_9
+# holds a K_{1,9} or an F_5 (11 vertices), so larger sizes search alike
+_TARGETS = [("star", s) for s in range(1, 10)] + [("fan", s) for s in range(1, 6)]
 
 
-class TestPoolSize:
-    """The workers and the prefix count follow min(workers, CPU count).
+class TestLexRule:
+    """The lex-leader row rule finds an avoiding coloring exactly where the
+    vertex-0 rule it replaced does."""
 
-    The real fork context is wrapped to count the processes started for
-    each split into prefixes.
-    """
+    @pytest.mark.parametrize("blue", _TARGETS, ids=lambda t: f"{t[0]}{t[1]}")
+    def test_same_answers_as_vertex_zero_kernel(self, blue):
+        for red in _TARGETS:
+            cap = 8 if blue[0] == red[0] == "fan" else 9
+            edges = ramsey._edge_table(cap)
+            for n in range(1, cap + 1):
+                found = ramsey._search(blue, red, n, edges, repeat(None))
+                assert found == vertex_zero_search(blue, red, n, repeat(None)), (blue, red, n)
 
-    @pytest.fixture
-    def splits(self, monkeypatch):
-        monkeypatch.setattr(ramsey, "_POOL_NODE_BUDGET", 0)
-        splits = []  # [prefix count, processes started] per split
-        get_context, prefixes = multiprocessing.get_context, ramsey._prefixes
+    # the last field is the reference kernel's node count, as the golden
+    # table recorded it before the lex rule
+    @pytest.mark.parametrize("blue, red, n, found, nodes", [
+        (("star", 4), ("fan", 3), 10, True, 261),       # R(K_{1,4}, F_3) = 11
+        (("star", 4), ("fan", 3), 11, False, 435_296),
+        (("fan", 2), ("fan", 2), 9, False, 249_775),    # R(F_2, F_2) = 9, past the cap
+    ], ids=["star4-fan3-N10", "star4-fan3-N11", "fan2-fan2-N9"])
+    def test_searches_past_the_caps(self, blue, red, n, found, nodes):
+        assert ramsey._search(blue, red, n, ramsey._edge_table(n), repeat(None)) is found
+        ticks = count()
+        assert vertex_zero_search(blue, red, n, ticks) is found
+        assert next(ticks) == nodes
 
-        class Counting:
-            def __init__(self, method):
-                self.context = get_context(method)
-
-            def Process(self, *args, **kwargs):
-                splits[-1][1] += 1
-                return self.context.Process(*args, **kwargs)
-
-        def recording(n, blue_t, red_t, order, count):
-            splits.append([count, 0])
-            return prefixes(n, blue_t, red_t, order, count)
-
-        monkeypatch.setattr(ramsey.multiprocessing, "get_context", Counting)
-        monkeypatch.setattr(ramsey, "_prefixes", recording)
-        return splits
-
-    @pytest.mark.parametrize("cpus, size", [(3, 3), (None, 1), (1, 1)])
-    def test_huge_worker_count_is_cut_to_the_cpus(self, splits, monkeypatch, cpus, size):
-        monkeypatch.setattr(ramsey.os, "cpu_count", lambda: cpus)
-        serial = brute_force_ramsey(("star", 2), ("fan", 2), 9)
-        multi = brute_force_ramsey(("star", 2), ("fan", 2), 9, workers=10**6)
-        assert multi.to_json_dict() == serial.to_json_dict()
-        assert splits
-        assert {tuple(s) for s in splits} == {(ramsey._PREFIXES_PER_WORKER * size, size)}
-
-    def test_fewer_workers_than_cpus_kept(self, splits, monkeypatch):
-        monkeypatch.setattr(ramsey.os, "cpu_count", lambda: 64)
-        brute_force_ramsey(("star", 2), ("fan", 2), 9, workers=2)
-        assert splits
-        assert {tuple(s) for s in splits} == {(ramsey._PREFIXES_PER_WORKER * 2, 2)}
+    def test_edge_table_of_k_n_is_a_prefix_of_k_n_plus_1(self):
+        for n in range(1, 12):
+            assert ramsey._edge_table(n + 1)[:n * (n - 1) // 2] == ramsey._edge_table(n)

@@ -2,13 +2,18 @@
 witness reports.
 
 The expected values were recorded before these paths were deduplicated:
-_prefixes on its own copy of _search's branch rule, fan_extend with one
-internal-first edge order per take helper, three copies of the complete
-multipartite matching number, and one "no F_n" claim per verifier. The
-search node counts were recorded while each node still recomputed the
-matching number of whole neighbourhoods. Scans go in ascending id order,
-so each value is a function of its input alone, and a change that only
-removes duplicate code or repeated work must leave all of them as they are.
+fan_extend with one internal-first edge order per take helper, three
+copies of the complete multipartite matching number, and one "no F_n"
+claim per verifier. Scans go in ascending id order, so each value is a
+function of its input alone, and a change that only removes duplicate code
+or repeated work must leave all of them as they are.
+
+The search node counts are those of the lex-leader row rule. They were
+re-recorded when that rule replaced the vertex-0 rule, which is its
+column-0 case, so the new search tree is a subtree of the old one. No
+recorded count rose (star6-star4 at N = 9 fell from 305,471 to 7,105
+nodes) and no answer changed; test_ramsey compares the answers with the
+old kernel, oracles.vertex_zero_search.
 """
 
 import hashlib
@@ -33,58 +38,42 @@ from fanramsey import (
 from fanramsey import ramsey
 from fanramsey.constructions import conditioned_coloring
 
-# (name, blue target, red target, N) -> (count, first, last) at parts = 64
-PREFIXES = {
-    ("fan2-fan2", ("fan", 2), ("fan", 2), 5):
-        (72, (1, 1, 1, 1, 1, 1, 1, 0), (0, 0, 0, 0, 0, 0, 0, 1)),
-    ("star6-star4", ("star", 6), ("star", 4), 9):
-        (64, (1, 1, 1, 1, 1, 1, 1, 1), (1, 0, 0, 0, 0, 0, 0, 0)),
-}
-
-
-@pytest.mark.parametrize("key", sorted(PREFIXES), ids=lambda k: k[0])
-def test_prefixes_unchanged(key):
-    _, blue, red, n = key
-    out = ramsey._prefixes(n, blue, red, ramsey._edge_order(n), 64)
-    assert (len(out), out[0], out[-1]) == PREFIXES[key]
-
-
 # "<blue><size>-<red><size>" -> nodes _search visits (items of ticks it
 # takes) at N = 1, 2, ... up to the pair's value, or up to the cap when the
 # value exceeds it: 8 for fan-fan, 9 otherwise
 NODES = {
-    "fan1-fan1": (1, 2, 4, 9, 23, 77),
+    "fan1-fan1": (1, 2, 4, 9, 21, 36),
     "fan1-fan2": (1, 2, 4, 7, 11, 18, 24, 31),
     "fan1-fan3": (1, 2, 4, 7, 11, 16, 22, 31),
     "fan1-fan4": (1, 2, 4, 7, 11, 16, 22, 29),
     "fan1-star1": (1, 2, 3),
-    "fan1-star2": (1, 2, 4, 8, 11),
-    "fan1-star3": (1, 2, 4, 7, 12, 17, 58),
-    "fan1-star4": (1, 2, 4, 7, 11, 17, 23, 30, 618),
-    "fan2-fan1": (1, 2, 4, 7, 11, 20, 30, 45),
+    "fan1-star2": (1, 2, 4, 8, 10),
+    "fan1-star3": (1, 2, 4, 7, 12, 17, 41),
+    "fan1-star4": (1, 2, 4, 7, 11, 17, 23, 30, 191),
+    "fan2-fan1": (1, 2, 4, 7, 11, 20, 30, 41),
     "fan2-fan2": (1, 2, 4, 7, 11, 16, 26, 38),
     "fan2-fan3": (1, 2, 4, 7, 11, 16, 22, 33),
     "fan2-fan4": (1, 2, 4, 7, 11, 16, 22, 29),
     "fan2-star1": (1, 2, 4, 7, 8),
-    "fan2-star2": (1, 2, 4, 7, 39),
-    "fan2-star3": (1, 2, 4, 7, 20, 29, 320),
-    "fan2-star4": (1, 2, 4, 7, 11, 20, 30, 40, 6706),
+    "fan2-star2": (1, 2, 4, 7, 24),
+    "fan2-star3": (1, 2, 4, 7, 17, 25, 109),
+    "fan2-star4": (1, 2, 4, 7, 11, 20, 30, 38, 740),
     "fan3-fan1": (1, 2, 4, 7, 11, 16, 22, 35),
     "fan3-fan2": (1, 2, 4, 7, 11, 16, 22, 29),
     "fan3-fan3": (1, 2, 4, 7, 11, 16, 22, 29),
     "fan3-fan4": (1, 2, 4, 7, 11, 16, 22, 29),
     "fan3-star1": (1, 2, 4, 7, 11, 16, 17),
-    "fan3-star2": (1, 2, 4, 7, 11, 16, 314),
-    "fan3-star3": (1, 2, 4, 7, 11, 16, 229, 727, 8790),
-    "fan3-star4": (1, 2, 4, 7, 11, 16, 74, 879, 891),
+    "fan3-star2": (1, 2, 4, 7, 11, 16, 64),
+    "fan3-star3": (1, 2, 4, 7, 11, 16, 66, 140, 571),
+    "fan3-star4": (1, 2, 4, 7, 11, 16, 43, 114, 122),
     "fan4-fan1": (1, 2, 4, 7, 11, 16, 22, 29),
     "fan4-fan2": (1, 2, 4, 7, 11, 16, 22, 29),
     "fan4-fan3": (1, 2, 4, 7, 11, 16, 22, 29),
     "fan4-fan4": (1, 2, 4, 7, 11, 16, 22, 29),
     "fan4-star1": (1, 2, 4, 7, 11, 16, 22, 29, 30),
-    "fan4-star2": (1, 2, 4, 7, 11, 16, 22, 29, 3322),
-    "fan4-star3": (1, 2, 4, 7, 11, 16, 22, 29, 1077),
-    "fan4-star4": (1, 2, 4, 7, 11, 16, 22, 29, 1205),
+    "fan4-star2": (1, 2, 4, 7, 11, 16, 22, 29, 141),
+    "fan4-star3": (1, 2, 4, 7, 11, 16, 22, 29, 147),
+    "fan4-star4": (1, 2, 4, 7, 11, 16, 22, 29, 133),
     "fan5-fan1": (1, 2, 4, 7, 11, 16, 22, 29),
     "fan5-fan2": (1, 2, 4, 7, 11, 16, 22, 29),
     "fan5-fan3": (1, 2, 4, 7, 11, 16, 22, 29),
@@ -125,74 +114,74 @@ NODES = {
     "star1-star2": (1, 2, 2),
     "star1-star3": (1, 2, 4, 4),
     "star1-star4": (1, 2, 4, 7, 7),
-    "star2-fan1": (1, 2, 4, 7, 13),
-    "star2-fan2": (1, 2, 4, 7, 34),
-    "star2-fan3": (1, 2, 4, 7, 11, 16, 262),
-    "star2-fan4": (1, 2, 4, 7, 11, 16, 22, 29, 2726),
+    "star2-fan1": (1, 2, 4, 7, 11),
+    "star2-fan2": (1, 2, 4, 7, 20),
+    "star2-fan3": (1, 2, 4, 7, 11, 16, 54),
+    "star2-fan4": (1, 2, 4, 7, 11, 16, 22, 29, 115),
     "star2-star1": (1, 2, 2),
     "star2-star2": (1, 2, 4),
-    "star2-star3": (1, 2, 4, 7, 11),
-    "star2-star4": (1, 2, 4, 7, 27),
-    "star3-fan1": (1, 2, 4, 7, 11, 16, 73),
-    "star3-fan2": (1, 2, 4, 7, 11, 16, 334),
-    "star3-fan3": (1, 2, 4, 7, 11, 16, 28, 41, 8526),
+    "star2-star3": (1, 2, 4, 7, 10),
+    "star2-star4": (1, 2, 4, 7, 19),
+    "star3-fan1": (1, 2, 4, 7, 11, 16, 46),
+    "star3-fan2": (1, 2, 4, 7, 11, 16, 98),
+    "star3-fan3": (1, 2, 4, 7, 11, 16, 28, 41, 403),
     "star3-fan4": (1, 2, 4, 7, 11, 16, 22, 29, 37),
     "star3-star1": (1, 2, 4, 4),
-    "star3-star2": (1, 2, 4, 9, 12),
-    "star3-star3": (1, 2, 4, 10, 17, 38),
-    "star3-star4": (1, 2, 4, 7, 11, 16, 162),
-    "star4-fan1": (1, 2, 4, 7, 11, 16, 22, 29, 758),
-    "star4-fan2": (1, 2, 4, 7, 11, 16, 22, 29, 8049),
+    "star3-star2": (1, 2, 4, 9, 11),
+    "star3-star3": (1, 2, 4, 10, 17, 26),
+    "star3-star4": (1, 2, 4, 7, 11, 16, 68),
+    "star4-fan1": (1, 2, 4, 7, 11, 16, 22, 29, 179),
+    "star4-fan2": (1, 2, 4, 7, 11, 16, 22, 29, 742),
     "star4-fan3": (1, 2, 4, 7, 11, 16, 22, 29, 44),
     "star4-fan4": (1, 2, 4, 7, 11, 16, 22, 29, 45),
     "star4-star1": (1, 2, 4, 7, 7),
-    "star4-star2": (1, 2, 4, 7, 30),
-    "star4-star3": (1, 2, 4, 7, 14, 39, 178),
-    "star4-star4": (1, 2, 4, 7, 15, 24, 1375),
+    "star4-star2": (1, 2, 4, 7, 19),
+    "star4-star3": (1, 2, 4, 7, 14, 31, 73),
+    "star4-star4": (1, 2, 4, 7, 15, 24, 281),
     "star5-fan1": (1, 2, 4, 7, 11, 16, 22, 29, 37),
     "star5-fan2": (1, 2, 4, 7, 11, 16, 22, 29, 37),
     "star5-fan3": (1, 2, 4, 7, 11, 16, 22, 29, 37),
     "star5-fan4": (1, 2, 4, 7, 11, 16, 22, 29, 37),
     "star5-star1": (1, 2, 4, 7, 11, 11),
-    "star5-star2": (1, 2, 4, 7, 11, 40, 93),
-    "star5-star3": (1, 2, 4, 7, 11, 27, 117, 1051),
-    "star5-star4": (1, 2, 4, 7, 11, 20, 55, 220, 18437),
+    "star5-star2": (1, 2, 4, 7, 11, 28, 38),
+    "star5-star3": (1, 2, 4, 7, 11, 23, 45, 183),
+    "star5-star4": (1, 2, 4, 7, 11, 20, 45, 93, 1271),
     "star6-fan1": (1, 2, 4, 7, 11, 16, 22, 29, 37),
     "star6-fan2": (1, 2, 4, 7, 11, 16, 22, 29, 37),
     "star6-fan3": (1, 2, 4, 7, 11, 16, 22, 29, 37),
     "star6-fan4": (1, 2, 4, 7, 11, 16, 22, 29, 37),
     "star6-star1": (1, 2, 4, 7, 11, 16, 16),
-    "star6-star2": (1, 2, 4, 7, 11, 16, 268),
-    "star6-star3": (1, 2, 4, 7, 11, 16, 129, 469, 7536),
-    "star6-star4": (1, 2, 4, 7, 11, 16, 36, 432, 305471),
+    "star6-star2": (1, 2, 4, 7, 11, 16, 58),
+    "star6-star3": (1, 2, 4, 7, 11, 16, 48, 107, 511),
+    "star6-star4": (1, 2, 4, 7, 11, 16, 31, 78, 7105),
     "star7-fan1": (1, 2, 4, 7, 11, 16, 22, 29, 37),
     "star7-fan2": (1, 2, 4, 7, 11, 16, 22, 29, 37),
     "star7-fan3": (1, 2, 4, 7, 11, 16, 22, 29, 37),
     "star7-fan4": (1, 2, 4, 7, 11, 16, 22, 29, 37),
     "star7-star1": (1, 2, 4, 7, 11, 16, 22, 22),
-    "star7-star2": (1, 2, 4, 7, 11, 16, 22, 235, 901),
-    "star7-star3": (1, 2, 4, 7, 11, 16, 22, 201, 2754),
-    "star7-star4": (1, 2, 4, 7, 11, 16, 22, 65, 2636),
+    "star7-star2": (1, 2, 4, 7, 11, 16, 22, 67, 95),
+    "star7-star3": (1, 2, 4, 7, 11, 16, 22, 68, 195),
+    "star7-star4": (1, 2, 4, 7, 11, 16, 22, 44, 248),
     "star8-fan1": (1, 2, 4, 7, 11, 16, 22, 29, 37),
     "star8-fan2": (1, 2, 4, 7, 11, 16, 22, 29, 37),
     "star8-fan3": (1, 2, 4, 7, 11, 16, 22, 29, 37),
     "star8-fan4": (1, 2, 4, 7, 11, 16, 22, 29, 37),
     "star8-star1": (1, 2, 4, 7, 11, 16, 22, 29, 29),
-    "star8-star2": (1, 2, 4, 7, 11, 16, 22, 29, 2938),
-    "star8-star3": (1, 2, 4, 7, 11, 16, 22, 29, 619),
-    "star8-star4": (1, 2, 4, 7, 11, 16, 22, 29, 660),
+    "star8-star2": (1, 2, 4, 7, 11, 16, 22, 29, 133),
+    "star8-star3": (1, 2, 4, 7, 11, 16, 22, 29, 114),
+    "star8-star4": (1, 2, 4, 7, 11, 16, 22, 29, 97),
 }
 # (blue target, red target, N) -> nodes, for searches past the table's caps
 # or large enough to be timed
 LARGE_NODES = {
-    (("star", 4), ("fan", 3), 11): 435_296,
-    (("star", 6), ("star", 4), 9): 305_471,
+    (("star", 4), ("fan", 3), 11): 6_653,
+    (("star", 6), ("star", 4), 9): 7_105,
 }
 
 
 def _nodes(blue, red, n):
     ticks = count()
-    found = ramsey._search(blue, red, ramsey._edge_order(n), 0, [0] * n, [0] * n, ticks)
+    found = ramsey._search(blue, red, n, ramsey._edge_table(n), ticks)
     return next(ticks), found
 
 
@@ -219,11 +208,10 @@ def test_large_search_nodes_unchanged(key):
 
 
 # (blue target, red target, N) -> nodes of a search that finds no avoiding
-# coloring; star3-fan3 takes the fan branch. This and the prefix replay
-# count were recorded before each node wrote out its two colors in line
+# coloring; star3-fan3 takes the fan branch
 BUDGETS = {
-    (("star", 6), ("star", 4), 9): 305_471,
-    (("star", 3), ("fan", 3), 9): 8_526,
+    (("star", 6), ("star", 4), 9): 7_105,
+    (("star", 3), ("fan", 3), 9): 403,
 }
 
 
@@ -231,34 +219,15 @@ BUDGETS = {
     *k[0], *k[1], k[2]))
 def test_node_budget_stops_at_the_same_node(key):
     # a budget of exactly the search's nodes completes it and one fewer runs
-    # out, so each node takes its tick at the same place; the worker budget
-    # _POOL_NODE_BUDGET counts on it
+    # out, so each node takes its tick at the same place
     blue, red, n = key
 
     def run(budget):
-        return ramsey._search(blue, red, ramsey._edge_order(n), 0, [0] * n, [0] * n,
-                              repeat(None, budget))
+        return ramsey._search(blue, red, n, ramsey._edge_table(n), repeat(None, budget))
 
     with pytest.raises(StopIteration):
         run(BUDGETS[key] - 1)
     assert run(BUDGETS[key]) is False
-
-
-def test_prefix_replay_nodes_unchanged():
-    # the _search_prefixes path: each prefix colors the first 8 edges and the
-    # search resumes from there; 305,371 nodes in all, no avoiding coloring
-    n, blue, red = 9, ("star", 6), ("star", 4)
-    order, ticks = ramsey._edge_order(n), count()
-    prefixes = ramsey._prefixes(n, blue, red, order, 64)
-    assert {len(prefix) for prefix in prefixes} == {8}
-    for prefix in prefixes:
-        blue_adj, red_adj = [0] * n, [0] * n
-        for (i, j), is_blue in zip(order, prefix):
-            adj = blue_adj if is_blue else red_adj
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        assert not ramsey._search(blue, red, order, 8, blue_adj, red_adj, ticks)
-    assert next(ticks) == 305_371
 
 
 # (case, seed) -> (center, spokes); the instance is
