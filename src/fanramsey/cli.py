@@ -72,7 +72,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
                  f"a={params.a} b={params.b} sigma={params.sigma}",
                  payload["bound_implied"]]
     if args.out:
-        write_graph(graph, args.out, args.fmt)
+        write_graph(graph, args.out, args.format)
         lines.append(f"wrote {args.out}")
     elif args.kind == "turan":
         payload["edge_list"] = [list(e) for e in graph.edges()]
@@ -83,7 +83,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    coloring = read_coloring(args.input, args.fmt)
+    coloring = read_coloring(args.input, args.format)
     if args.m is None:
         report = verify_fan_fan_witness(coloring, args.n)
     else:
@@ -93,7 +93,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    part = edmonds_gallai(read_graph(args.input, args.fmt))
+    part = edmonds_gallai(read_graph(args.input, args.format))
     lines = [f"nu = {part.nu}, deficiency = {part.deficiency}, p = {part.p}",
              f"A = {sorted(part.A)}",
              f"C = {sorted(part.C)}"]
@@ -134,7 +134,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
                  f"{g.edge_count()} edges",
                  f"degrees: {g.degrees()}"]
     if args.out:
-        write_graph(g, args.out, args.fmt)
+        write_graph(g, args.out, args.format)
         lines.append(f"wrote {args.out}")
     _emit(args, payload, lines)
     return 0
@@ -152,7 +152,7 @@ def cmd_fan_find(args: argparse.Namespace) -> int:
         _reject(args, "fan-find on a file", "n", "trials", "seed")
         if args.k is None:
             raise ValueError("fan-find on a file requires --k")
-        w = find_fan(read_graph(args.input, args.fmt), args.k)
+        w = find_fan(read_graph(args.input, args.format or EDGELIST), args.k)
         if w is None:
             _emit(args, {"found": False, "k": args.k}, [f"no F_{args.k}"])
         else:
@@ -160,7 +160,7 @@ def cmd_fan_find(args: argparse.Namespace) -> int:
             _emit(args, payload, [f"F_{args.k} centered at {w.center}",
                                   f"spokes: {list(w.spokes)}"])
         return 0
-    _reject(args, "fan-find trial mode", "k")
+    _reject(args, "fan-find trial mode", "k", "format")
     if args.n is None or args.trials is None:
         raise ValueError("fan-find trial mode requires --n and --trials")
     seed = DEFAULT_SEED if args.seed is None else args.seed
@@ -228,8 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, func, with_fmt=True):
         p.add_argument("--json", action="store_true", help="emit structured JSON")
         if with_fmt:
-            p.add_argument("--format", choices=FORMATS,
-                           default=EDGELIST, dest="fmt")
+            p.add_argument("--format", choices=FORMATS, default=EDGELIST)
         p.set_defaults(func=func)
 
     c = sub.add_parser("construct", help="build a lower-bound coloring or graph")
@@ -272,6 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--trials", type=_positive_int)
     f.add_argument("--seed", type=_integer, help=f"trial mode only; default {DEFAULT_SEED}")
     common(f, cmd_fan_find)
+    # no default, so that trial mode can tell --format was given
+    f.set_defaults(format=None)
 
     s = sub.add_parser("search", help="exhaustive small Ramsey number search")
     s.add_argument("blue_kind", choices=["star", "fan"])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import FanExtensionError
@@ -42,7 +43,12 @@ class FanWitness:
     spokes: tuple[tuple[int, int], ...]
 
     def __init__(self, center: int, spokes: Iterable[tuple[int, int]]):
-        normalized = tuple(sorted((min(u, v), max(u, v)) for u, v in spokes))
+        pairs = [(u, v) for u, v in spokes]
+        for x in chain.from_iterable(pairs):
+            # the id rule of validate_fan_witness, which the sort needs
+            if type(x) is not int:
+                raise ValueError(f"fan vertex {x!r} is not an int")
+        normalized = tuple(sorted((min(u, v), max(u, v)) for u, v in pairs))
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "spokes", normalized)
 

@@ -3,7 +3,9 @@
 Witness verification never trusts the construction that produced a coloring:
 star absence is read off the maximum blue degree and fan absence comes from
 the exact fan search. The brute-force oracle decides tiny Ramsey numbers by
-backtracking over lex-leader edge colorings with incremental target checks.
+backtracking over lex-leader edge colorings with incremental target checks:
+one search of K_cap finds the largest N whose K_N some coloring keeps free
+of both targets, and keeps that coloring as a lower-bound witness.
 """
 
 from __future__ import annotations
@@ -195,6 +197,8 @@ class RamseySearchResult:
     red_target: Target
     n_cap: int
     value: int | None
+    # blue edges of a coloring of K_{lower - 1} with neither target
+    witness: tuple[tuple[int, int], ...] | None = None
 
     @property
     def exact(self) -> bool:
@@ -215,7 +219,8 @@ class RamseySearchResult:
                 "red_target": list(self.red_target),
                 "cap": self.n_cap, "value": self.value,
                 "lower": self.lower, "exact": self.exact,
-                "statement": self.describe()}
+                "statement": self.describe(),
+                "witness": None if self.witness is None else [list(e) for e in self.witness]}
 
 
 def _nu_at_least(mask: int, adj: list[int], k: int) -> bool:
@@ -285,8 +290,11 @@ def _edge_table(n: int) -> list[tuple[int, int, int, int, int, int]]:
 
 
 def _search(blue_t: Target, red_t: Target, n: int,
-            edges: list[tuple[int, int, int, int, int, int]], ticks: Iterator) -> bool:
-    """True iff some 2-coloring of K_n avoids a blue blue_t and a red red_t.
+            edges: list[tuple[int, int, int, int, int, int]], ticks: Iterator,
+            witness: list[int] | None = None) -> int:
+    """The largest r <= n such that some 2-coloring of K_r avoids a blue
+    blue_t and a red red_t; witness, when given, receives the blue rows
+    (adjacency masks) of the coloring of K_r that the search found.
 
     Edges are colored in the order of edges, an _edge_table of n or more
     vertices, blue before red. The one symmetry rule is the lex-leader row
@@ -298,6 +306,16 @@ def _search(blue_t: Target, red_t: Target, n: int,
     to the red graph, whose complement is blue, the <= becomes >=.
     Avoidance survives relabelling, so the rule loses no answer. Its
     column-0 case makes edge (i, 0), i > 1, blue only if (i - 1, 0) is.
+
+    One depth-first search over K_n answers every r <= n. The table of K_r
+    is a prefix of the table of K_n, and the rule's comparisons among rows
+    0..r-1 read only columns below r, which are colored first; so the
+    search of K_r is this search cut off at depth r(r-1)/2, the index of
+    edge (r, 0). A node at that depth has colored K_r without a target,
+    and none at that depth means no coloring of K_r avoids both. The
+    search records r and the blue rows each time it reaches such a node
+    with r above the largest so far, and stops at the first complete
+    coloring of K_n.
 
     Each node takes one item of ticks: a finite ticks is a node budget,
     and StopIteration means it ran out.
@@ -318,13 +336,20 @@ def _search(blue_t: Target, red_t: Target, n: int,
     red_limit = red_size - 1 if red_kind == "star" else n
     blue_fan = blue_size if blue_kind == "fan" and n > 2 * blue_size else 0
     red_fan = red_size if red_kind == "fan" and n > 2 * red_size else 0
+    # the blue rows of the largest K_r colored so far, r = len(best); K_1
+    # has no edge to color
+    best = blue[:1]
 
     def extend(idx: int, ties: int) -> bool:
         # ties: a bit per pair of rows that is equal on the columns so far
+        nonlocal best
         tick()
         if idx == end:
+            best = blue[:]
             return True
         i, j, bit_i, bit_j, pair_a, pair_b = edges[idx]
+        if not j and i > len(best):
+            best = blue[:i]
         # the compared pairs whose row-p entry is blue: blue keeps them tied
         # and red unties them; blue under a tied red row-p entry is barred
         above = ((pair_a if blue[i - 1] & bit_j else 0)
@@ -348,7 +373,10 @@ def _search(blue_t: Target, red_t: Target, n: int,
             red[j] ^= bit_i
         return False
 
-    return extend(0, (1 << n) - 1)
+    extend(0, (1 << n) - 1)
+    if witness is not None:
+        witness[:] = best
+    return len(best)
 
 
 def brute_force_ramsey(blue_target: Target, red_target: Target, n_cap: int,
@@ -356,10 +384,12 @@ def brute_force_ramsey(blue_target: Target, red_target: Target, n_cap: int,
     """Least N forcing the blue target or the red target in every 2-coloring
     of K_N, or a first-class ">= n_cap + 1" when the cap is reached.
 
-    Each N is one _search under the lex-leader row rule, in this process;
-    the edge table is built once for n_cap and each N reads its prefix.
-    workers must be a positive int and has no effect: the search starts no
-    process, and the argument is kept for callers that pass it.
+    One _search over K_n_cap under the lex-leader row rule, in this
+    process: the value is the first N it cannot reach. The result's
+    witness is the blue edge list, in search order, of the avoiding
+    coloring of K_{value-1}, or of K_n_cap when the cap is reached.
+    workers must be a positive int and has no effect: the search starts
+    no process, and the argument is kept for callers that pass it.
     """
     blue_t = _check_target(blue_target, "blue_target")
     red_t = _check_target(red_target, "red_target")
@@ -369,8 +399,9 @@ def brute_force_ramsey(blue_target: Target, red_target: Target, n_cap: int,
             f"cap {n_cap} outside 1..{limit} for {blue_t[0]}-{red_t[0]} search")
     if _int("workers", workers) < 1:
         raise ValueError(f"workers must be a positive int, got {workers!r}")
-    edges = _edge_table(n_cap)
-    for n in range(1, n_cap + 1):
-        if not _search(blue_t, red_t, n, edges, repeat(None)):
-            return RamseySearchResult(blue_t, red_t, n_cap, n)
-    return RamseySearchResult(blue_t, red_t, n_cap, None)
+    edges, rows = _edge_table(n_cap), []
+    reached = _search(blue_t, red_t, n_cap, edges, repeat(None), rows)
+    witness = tuple([(j, i) for i, j, _, bit_j, _, _ in edges[:reached * (reached - 1) // 2]
+                     if rows[i] & bit_j])
+    return RamseySearchResult(blue_t, red_t, n_cap,
+                              None if reached == n_cap else reached + 1, witness)

@@ -38,6 +38,7 @@ from fanramsey import (
     verify_fan_fan_witness,
     verify_star_fan_witness,
 )
+from fanramsey import ramsey
 from fanramsey.constructions import conditioned_coloring
 
 
@@ -114,6 +115,11 @@ def test_criterion_3_small_ramsey_numbers(capsys):
         failures.append("chromatic witness on 8 vertices rejected")
     if brute_force_ramsey(("fan", 2), ("fan", 2), 8).lower != 9:
         failures.append("exhaustive search disagrees with R(F_2) >= 9")
+    # the upper side, past the public cap of 8: one search of K_9 colors
+    # K_8 and no K_9, so R(F_2) = 9
+    if ramsey._search(("fan", 2), ("fan", 2), 9, ramsey._edge_table(9),
+                      itertools.repeat(None)) != 8:
+        failures.append("exhaustive search disagrees with R(F_2) = 9")
     with capsys.disabled():
         verdict("criterion 3 (exact small Ramsey numbers)",
                 failures, started, 300)

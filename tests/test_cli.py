@@ -237,6 +237,15 @@ class TestFanFind:
         assert code == 0
         assert data == {"found": False, "k": 1}
 
+    def test_file_mode_takes_format(self, capsys, tmp_path):
+        # fan-find's --format has no default, so file mode supplies edgelist
+        path = tmp_path / "g.g6"
+        write_graph(Graph(3, [(0, 1), (1, 2), (0, 2)]), path, "graph6")
+        code, data = run_json(capsys, ["fan-find", str(path), "--k", "1",
+                                       "--format", "graph6"])
+        assert code == 0 and data["found"] is True
+        assert main(["fan-find", str(path), "--k", "1"]) == 3
+
     def test_file_mode_needs_k(self, capsys, tmp_path):
         path = tmp_path / "g.el"
         write_graph(Graph(3, []), path)
@@ -283,7 +292,9 @@ class TestFanFind:
         (["FILE", "--k", "1", "--n", "3", "--trials", "2"], "--n"),
         (["FILE", "--k", "1", "--trials", "2"], "--trials"),
         (["FILE", "--k", "1", "--seed", "7"], "--seed"),
-    ], ids=["k-in-trial-mode", "n-on-a-file", "trials-on-a-file", "seed-on-a-file"])
+        (["--n", "2", "--trials", "1", "--format", "graph6"], "--format"),
+    ], ids=["k-in-trial-mode", "n-on-a-file", "trials-on-a-file", "seed-on-a-file",
+            "format-in-trial-mode"])
     def test_each_mode_rejects_the_other_modes_flags(self, capsys, tmp_path, argv, flag):
         path = tmp_path / "g.el"
         write_graph(Graph(3, [(0, 1)]), path)
@@ -308,6 +319,8 @@ class TestSearch:
         assert code == 0
         assert data["value"] == 5
         assert data["statement"] == "R(K_{1,2}, F_2) = 5"
+        # K_4 with a blue perfect matching: the red C_4 holds no F_2
+        assert data["witness"] == [[0, 1], [2, 3]]
 
     def test_cap_reported(self, capsys):
         code, data = run_json(capsys, ["search", "fan", "2", "fan", "2",

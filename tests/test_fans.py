@@ -60,6 +60,12 @@ class TestFanWitness:
         assert w.spokes == ((1, 2), (3, 5))
         assert w.k == 2
 
+    @pytest.mark.parametrize("spokes, bad", [([(1, "a")], "'a'"), ([(True, 2)], "True")])
+    def test_rejects_a_spoke_id_that_is_not_an_int(self, spokes, bad):
+        # a ValueError naming the id, not the sort's TypeError
+        with pytest.raises(ValueError, match=f"fan vertex {bad} is not an int"):
+            FanWitness(0, spokes)
+
     def test_json_dict(self):
         w = FanWitness(7, [(1, 2)])
         assert w.to_json_dict() == {"center": 7, "spokes": [[1, 2]]}

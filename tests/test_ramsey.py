@@ -30,7 +30,8 @@ from fanramsey import (
     write_coloring,
 )
 from fanramsey import ramsey
-from fanramsey.graphs import induced
+from fanramsey.fans import find_fan
+from fanramsey.graphs import complement, induced
 
 
 def complete(n):
@@ -315,6 +316,8 @@ class TestBruteForce:
         data = res.to_json_dict()
         assert data["value"] == 3 and data["exact"] is True
         assert data["statement"] == "R(K_{1,1}, F_1) = 3"
+        # K_2 with its one edge red: no blue K_{1,1}, and no red F_1 on 2 vertices
+        assert data["witness"] == []
         res2 = RamseySearchResult(("fan", 2), ("fan", 2), 8, None)
         assert res2.to_json_dict()["lower"] == 9
 
@@ -389,12 +392,13 @@ class TestLexRule:
 
     @pytest.mark.parametrize("blue", _TARGETS, ids=lambda t: f"{t[0]}{t[1]}")
     def test_same_answers_as_vertex_zero_kernel(self, blue):
+        # one search of K_cap answers every N: K_N can be colored iff N <= reached
         for red in _TARGETS:
             cap = 8 if blue[0] == red[0] == "fan" else 9
-            edges = ramsey._edge_table(cap)
+            reached = ramsey._search(blue, red, cap, ramsey._edge_table(cap), repeat(None))
             for n in range(1, cap + 1):
-                found = ramsey._search(blue, red, n, edges, repeat(None))
-                assert found == vertex_zero_search(blue, red, n, repeat(None)), (blue, red, n)
+                found = vertex_zero_search(blue, red, n, repeat(None))
+                assert (n <= reached) == found, (blue, red, n)
 
     # the last field is the reference kernel's node count, as the golden
     # table recorded it before the lex rule
@@ -404,10 +408,25 @@ class TestLexRule:
         (("fan", 2), ("fan", 2), 9, False, 249_775),    # R(F_2, F_2) = 9, past the cap
     ], ids=["star4-fan3-N10", "star4-fan3-N11", "fan2-fan2-N9"])
     def test_searches_past_the_caps(self, blue, red, n, found, nodes):
-        assert ramsey._search(blue, red, n, ramsey._edge_table(n), repeat(None)) is found
+        reached = ramsey._search(blue, red, n, ramsey._edge_table(n), repeat(None))
+        assert (reached == n) is found
         ticks = count()
         assert vertex_zero_search(blue, red, n, ticks) is found
         assert next(ticks) == nodes
+
+    @pytest.mark.parametrize("blue", _TARGETS, ids=lambda t: f"{t[0]}{t[1]}")
+    def test_witness_avoids_both_targets(self, blue):
+        # the lower bound's coloring, checked without the search's own tests:
+        # a star by the maximum degree, a fan by find_fan
+        for red in _TARGETS:
+            cap = 8 if blue[0] == red[0] == "fan" else 9
+            res = brute_force_ramsey(blue, red, cap)
+            blue_g = Graph(res.lower - 1, res.witness)
+            for (kind, size), g in ((blue, blue_g), (red, complement(blue_g))):
+                if kind == "star":
+                    assert max(g.degrees()) < size, (blue, red)
+                else:
+                    assert find_fan(g, size) is None, (blue, red)
 
     def test_edge_table_of_k_n_is_a_prefix_of_k_n_plus_1(self):
         for n in range(1, 12):

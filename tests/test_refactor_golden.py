@@ -14,6 +14,10 @@ column-0 case, so the new search tree is a subtree of the old one. No
 recorded count rose (star6-star4 at N = 9 fell from 305,471 to 7,105
 nodes) and no answer changed; test_ramsey compares the answers with the
 old kernel, oracles.vertex_zero_search.
+
+_search returns the largest order it can color, so one search of K_cap
+now answers every N up to the cap; a search capped at N visits the same
+nodes as when it answered N alone, and every count is as recorded.
 """
 
 import hashlib
@@ -180,8 +184,9 @@ LARGE_NODES = {
 
 
 def _nodes(blue, red, n):
+    # nodes of the search capped at K_n, and whether it colors all of K_n
     ticks = count()
-    found = ramsey._search(blue, red, n, ramsey._edge_table(n), ticks)
+    found = ramsey._search(blue, red, n, ramsey._edge_table(n), ticks) == n
     return next(ticks), found
 
 
@@ -199,6 +204,28 @@ def test_search_nodes_unchanged(label):
         nodes, found = _nodes(blue, red, n)
         counts.append(nodes)
     assert tuple(counts) == NODES[label]
+
+
+@pytest.mark.parametrize("label", sorted(NODES))
+def test_brute_force_runs_only_the_last_search(label, monkeypatch):
+    # one search of K_cap visits the nodes of the table's last N: the
+    # search of the value, which fails, or of the cap, which succeeds
+    blue, red = map(_target, label.split("-"))
+    cap = 8 if blue[0] == red[0] == "fan" else 9
+    nodes = []
+    search = ramsey._search
+
+    def counted(blue_t, red_t, n, edges, ticks, witness=None):
+        ticks = count()
+        try:
+            return search(blue_t, red_t, n, edges, ticks, witness)
+        finally:
+            nodes.append(next(ticks))
+
+    monkeypatch.setattr(ramsey, "_search", counted)
+    result = ramsey.brute_force_ramsey(blue, red, cap)
+    assert nodes == [NODES[label][-1]]
+    assert result.lower == len(NODES[label]) + (result.value is None)
 
 
 @pytest.mark.parametrize("key", sorted(LARGE_NODES), ids=lambda k: "{}{}-{}{}-N{}".format(
@@ -227,7 +254,7 @@ def test_node_budget_stops_at_the_same_node(key):
 
     with pytest.raises(StopIteration):
         run(BUDGETS[key] - 1)
-    assert run(BUDGETS[key]) is False
+    assert run(BUDGETS[key]) == n - 1
 
 
 # (case, seed) -> (center, spokes); the instance is
