@@ -1,4 +1,8 @@
-"""Command-line interface: construct, verify, decompose, realize, fan-find, search, formula.
+"""Command-line interface: construct, verify, decompose, realize, fan-find,
+fan-trials, search, formula.
+
+Each mode is a subcommand (`realize pair|interval`, `fan-find`, `fan-trials`)
+whose flags argparse checks, so a usage error exits 2 before a handler runs.
 
 Exit codes: 0 success / claims hold, 1 claims fail or verification failure,
 2 usage or unsupported parameter range, 3 unreadable or malformed input.
@@ -104,13 +108,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
-    window = {"a": args.a, "b": args.b, "c": args.c, "d": args.d, "sigma": args.sigma}
-    pair_mode = args.x is not None or args.y is not None
-    if pair_mode == any(v is not None for v in window.values()):
-        raise ValueError("realize needs either --x/--y or --a/--b/--c/--d/--sigma")
-    if pair_mode:
-        if args.x is None or args.y is None:
-            raise ValueError("realize pair mode needs both --x and --y")
+    if args.mode == "pair":
         spec = DegreePairSpec(args.x, args.y)
         check = is_bigraphic(spec)
         if not check.ok:
@@ -124,9 +122,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
         lines = [f"bigraphic: realized on {g.n} vertices, "
                  f"{g.edge_count()} edges"]
     else:
-        missing = [name for name, v in window.items() if v is None]
-        if missing:
-            raise ValueError(f"realize interval mode needs --{missing[0]}")
+        window = {"a": args.a, "b": args.b, "c": args.c, "d": args.d, "sigma": args.sigma}
         g = realize_interval(IntervalRealizationParams(**window))
         payload = {**window, "edges": [list(e) for e in g.edges()],
                    "degrees": g.degrees()}
@@ -140,34 +136,22 @@ def cmd_realize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reject(args: argparse.Namespace, mode: str, *names: str) -> None:
-    """A usage error for the first flag of names that was given."""
-    for name in names:
-        if getattr(args, name) is not None:
-            raise ValueError(f"{mode} does not take --{name}")
-
-
 def cmd_fan_find(args: argparse.Namespace) -> int:
-    if args.input is not None:
-        _reject(args, "fan-find on a file", "n", "trials", "seed")
-        if args.k is None:
-            raise ValueError("fan-find on a file requires --k")
-        w = find_fan(read_graph(args.input, args.format or EDGELIST), args.k)
-        if w is None:
-            _emit(args, {"found": False, "k": args.k}, [f"no F_{args.k}"])
-        else:
-            payload = {"found": True, "k": args.k, "witness": w.to_json_dict()}
-            _emit(args, payload, [f"F_{args.k} centered at {w.center}",
-                                  f"spokes: {list(w.spokes)}"])
-        return 0
-    _reject(args, "fan-find trial mode", "k", "format")
-    if args.n is None or args.trials is None:
-        raise ValueError("fan-find trial mode requires --n and --trials")
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    rng = random.Random(seed)
+    w = find_fan(read_graph(args.input, args.format), args.k)
+    if w is None:
+        _emit(args, {"found": False, "k": args.k}, [f"no F_{args.k}"])
+    else:
+        payload = {"found": True, "k": args.k, "witness": w.to_json_dict()}
+        _emit(args, payload, [f"F_{args.k} centered at {w.center}",
+                              f"spokes: {list(w.spokes)}"])
+    return 0
+
+
+def cmd_fan_trials(args: argparse.Namespace) -> int:
+    rng = random.Random(args.seed)
     found = sum(high_degree_fan(conditioned_coloring(rng, args.n), args.n) is not None
                 for _ in range(args.trials))
-    payload = {"trials": args.trials, "found": found, "n": args.n, "seed": seed}
+    payload = {"trials": args.trials, "found": found, "n": args.n, "seed": args.seed}
     _emit(args, payload, [f"{found}/{args.trials} conditioned trials produced "
                           f"a monochromatic F_{args.n}"])
     return 0 if found == args.trials else 1
@@ -210,7 +194,7 @@ def _integer(text: str) -> int:
 
 def _degree_list(text: str) -> list[int]:
     """Comma-separated degrees, e.g. '3,2,2'."""
-    return [_integer(t) for t in text.split(",") if t != ""]
+    return [_integer(t) for t in text.split(",")]
 
 
 def _positive_int(text: str) -> int:
@@ -253,26 +237,29 @@ def _build_parser() -> argparse.ArgumentParser:
     common(d, cmd_decompose)
 
     r = sub.add_parser("realize", help="bipartite degree realization")
-    r.add_argument("--x", type=_degree_list, help="comma-separated left degrees")
-    r.add_argument("--y", type=_degree_list, help="comma-separated right degrees")
-    r.add_argument("--a", type=_integer)
-    r.add_argument("--b", type=_integer)
-    r.add_argument("--c", type=_integer)
-    r.add_argument("--d", type=_integer)
-    r.add_argument("--sigma", type=_integer)
-    r.add_argument("--out")
-    common(r, cmd_realize)
+    modes = r.add_subparsers(dest="mode", required=True)
+    pair = modes.add_parser("pair", help="realize left (--x) and right (--y) degrees")
+    for flag in ("--x", "--y"):
+        pair.add_argument(flag, type=_degree_list, required=True,
+                          help="comma-separated degrees")
+    interval = modes.add_parser("interval", help="realize a degree-window target")
+    for flag in ("--a", "--b", "--c", "--d", "--sigma"):
+        interval.add_argument(flag, type=_integer, required=True)
+    for p in (pair, interval):
+        p.add_argument("--out")
+        common(p, cmd_realize)
 
-    f = sub.add_parser("fan-find", help="search a graph for F_k, or run "
-                                        "conditioned high-degree trials")
-    f.add_argument("input", nargs="?")
-    f.add_argument("--k", type=_positive_int)
-    f.add_argument("--n", type=_positive_int)
-    f.add_argument("--trials", type=_positive_int)
-    f.add_argument("--seed", type=_integer, help=f"trial mode only; default {DEFAULT_SEED}")
+    f = sub.add_parser("fan-find", help="search a graph for F_k")
+    f.add_argument("input")
+    f.add_argument("--k", type=_positive_int, required=True)
     common(f, cmd_fan_find)
-    # no default, so that trial mode can tell --format was given
-    f.set_defaults(format=None)
+
+    t = sub.add_parser("fan-trials", help="run conditioned high-degree trials")
+    t.add_argument("--n", type=_positive_int, required=True)
+    t.add_argument("--trials", type=_positive_int, required=True)
+    t.add_argument("--seed", type=_integer, default=DEFAULT_SEED,
+                   help=f"default {DEFAULT_SEED}")
+    common(t, cmd_fan_trials, with_fmt=False)
 
     s = sub.add_parser("search", help="exhaustive small Ramsey number search")
     s.add_argument("blue_kind", choices=["star", "fan"])

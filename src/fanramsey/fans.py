@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import FanExtensionError
@@ -32,7 +31,7 @@ from .graphs import (
     induced,
     opposite,
 )
-from .matching import Matching, max_matching
+from .matching import Matching, _sorted_pairs, max_matching
 
 
 @dataclass(frozen=True)
@@ -43,14 +42,8 @@ class FanWitness:
     spokes: tuple[tuple[int, int], ...]
 
     def __init__(self, center: int, spokes: Iterable[tuple[int, int]]):
-        pairs = [(u, v) for u, v in spokes]
-        for x in chain.from_iterable(pairs):
-            # the id rule of validate_fan_witness, which the sort needs
-            if type(x) is not int:
-                raise ValueError(f"fan vertex {x!r} is not an int")
-        normalized = tuple(sorted((min(u, v), max(u, v)) for u, v in pairs))
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "spokes", normalized)
+        object.__setattr__(self, "spokes", _sorted_pairs(spokes, "fan"))
 
     @property
     def k(self) -> int:

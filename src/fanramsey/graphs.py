@@ -449,7 +449,9 @@ def _parse_edgelist(text: str, origin: str) -> Graph:
             continue
         if parts[0][0] == "#":
             comment = raw.strip()[1:].strip()
-            if comment.startswith("n=") and declared_n is None:
+            if comment.startswith("n="):
+                if declared_n is not None:
+                    raise ParseError(f"{origin}:{lineno}: second vertex count header")
                 count = comment[2:].strip()
                 if not count.isdigit():
                     raise ParseError(f"{origin}:{lineno}: bad vertex count {comment!r}")

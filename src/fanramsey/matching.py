@@ -9,9 +9,22 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .graphs import Graph, TwoColoring, _int, _isolate, induced, opposite
+
+
+def _sorted_pairs(pairs: Iterable[tuple[int, int]],
+                  what: str) -> tuple[tuple[int, int], ...]:
+    """Each pair as (min, max), in sorted order; a ValueError names the first
+    id that is not an int (a bool included), where the sort would raise a
+    TypeError or order True as 1."""
+    pairs = [(u, v) for u, v in pairs]
+    for x in chain.from_iterable(pairs):
+        if type(x) is not int:
+            raise ValueError(f"{what} vertex {x!r} is not an int")
+    return tuple(sorted((min(u, v), max(u, v)) for u, v in pairs))
 
 
 @dataclass(frozen=True)
@@ -21,8 +34,7 @@ class Matching:
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, edges: Iterable[tuple[int, int]]):
-        normalized = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
-        object.__setattr__(self, "edges", normalized)
+        object.__setattr__(self, "edges", _sorted_pairs(edges, "matching"))
 
     @classmethod
     def _from_pairs(cls, edges: tuple[tuple[int, int], ...]) -> "Matching":

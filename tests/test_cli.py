@@ -177,45 +177,54 @@ class TestDecompose:
 
 class TestRealize:
     def test_pair_mode(self, capsys):
-        code, data = run_json(capsys, ["realize", "--x", "1,1", "--y", "2"])
+        code, data = run_json(capsys, ["realize", "pair", "--x", "1,1", "--y", "2"])
         assert code == 0
         assert data["bigraphic"] is True
         assert data["edges"] == [[0, 2], [1, 2]]
         assert data["left"] == [0, 1] and data["right"] == [2]
 
     def test_pair_mode_rejection(self, capsys):
-        code, data = run_json(capsys, ["realize", "--x", "2,2", "--y", "4"])
+        code, data = run_json(capsys, ["realize", "pair", "--x", "2,2", "--y", "4"])
         assert code == 1
         assert data["bigraphic"] is False
         assert "dominance" in data["reason"]
 
     def test_interval_mode(self, capsys):
-        code, data = run_json(capsys, ["realize", "--a", "7", "--b", "2",
+        code, data = run_json(capsys, ["realize", "interval", "--a", "7", "--b", "2",
                                        "--c", "2", "--d", "4", "--sigma", "3"])
         assert code == 0
         assert sorted(data["degrees"][:7]) == [1, 1, 1, 1, 1, 1, 2]
         assert data["degrees"][7:] == [4, 4]
 
     def test_interval_window_violation_exits_2(self, capsys):
-        assert main(["realize", "--a", "2", "--b", "2", "--c", "0",
+        assert main(["realize", "interval", "--a", "2", "--b", "2", "--c", "0",
                      "--d", "4", "--sigma", "2"]) == 2
 
     @pytest.mark.parametrize("argv, message", [
-        (["--x", "1"], "needs both --x and --y"),
-        (["--a", "1", "--b", "1", "--c", "0", "--d", "0"], "needs --sigma"),
+        (["pair", "--x", "1"], "the following arguments are required: --y"),
+        (["interval", "--a", "1", "--b", "1", "--c", "0", "--d", "0"],
+         "the following arguments are required: --sigma"),
     ], ids=["pair", "interval"])
     def test_missing_flag_exits_2(self, capsys, argv, message):
         assert main(["realize"] + argv) == 2
         assert message in capsys.readouterr().err
 
     def test_mode_confusion_exits_2(self, capsys):
-        assert main(["realize", "--x", "1", "--a", "1", "--b", "1",
+        assert main(["realize", "pair", "--x", "1", "--y", "1", "--a", "1"]) == 2
+        assert "unrecognized arguments: --a 1" in capsys.readouterr().err
+        assert main(["realize", "interval", "--x", "1", "--a", "1", "--b", "1",
                      "--c", "0", "--d", "0", "--sigma", "0"]) == 2
+        assert "unrecognized arguments: --x 1" in capsys.readouterr().err
         assert main(["realize"]) == 2
+        # the forms that chose a mode by which flags were present
+        assert main(["realize", "--x", "1", "--y", "1"]) == 2
+        assert main(["realize", "--a", "1", "--b", "1", "--c", "0",
+                     "--d", "0", "--sigma", "0"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "g.el"
-        code = main(["realize", "--x", "1,1", "--y", "2", "--out", str(path)])
+        code = main(["realize", "pair", "--x", "1,1", "--y", "2", "--out", str(path)])
         assert code == 0
         assert read_graph(path).edge_count() == 2
 
@@ -238,7 +247,7 @@ class TestFanFind:
         assert data == {"found": False, "k": 1}
 
     def test_file_mode_takes_format(self, capsys, tmp_path):
-        # fan-find's --format has no default, so file mode supplies edgelist
+        # --format defaults to edgelist, as on every reader
         path = tmp_path / "g.g6"
         write_graph(Graph(3, [(0, 1), (1, 2), (0, 2)]), path, "graph6")
         code, data = run_json(capsys, ["fan-find", str(path), "--k", "1",
@@ -252,63 +261,66 @@ class TestFanFind:
         assert main(["fan-find", str(path)]) == 2
 
     def test_trial_mode_all_found(self, capsys):
-        code, data = run_json(capsys, ["fan-find", "--n", "2",
+        code, data = run_json(capsys, ["fan-trials", "--n", "2",
                                        "--trials", "25", "--seed", "7"])
         assert code == 0
         assert data["found"] == data["trials"] == 25
         assert data["seed"] == 7
 
     def test_trial_mode_deterministic(self, capsys):
-        argv = ["fan-find", "--n", "3", "--trials", "10", "--seed", "41"]
+        argv = ["fan-trials", "--n", "3", "--trials", "10", "--seed", "41"]
         _, first = run_json(capsys, argv)
         _, second = run_json(capsys, argv)
         assert first == second
 
     def test_trial_mode_default_seed(self, capsys):
-        code, data = run_json(capsys, ["fan-find", "--n", "2", "--trials", "5"])
+        code, data = run_json(capsys, ["fan-trials", "--n", "2", "--trials", "5"])
         assert code == 0
         assert data["seed"] == 2024
 
     def test_trial_mode_needs_args(self, capsys):
-        assert main(["fan-find", "--n", "2"]) == 2
+        assert main(["fan-trials", "--n", "2"]) == 2
+        assert main(["fan-trials", "--trials", "2"]) == 2
+        # the form that chose trial mode by the absence of a file
+        assert main(["fan-find", "--n", "2", "--trials", "1"]) == 2
 
     def test_trials_must_be_positive(self, capsys):
-        assert main(["fan-find", "--n", "2", "--trials", "-3"]) == 2
-        assert main(["fan-find", "--n", "2", "--trials", "0"]) == 2
+        assert main(["fan-trials", "--n", "2", "--trials", "-3"]) == 2
+        assert main(["fan-trials", "--n", "2", "--trials", "0"]) == 2
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv, flag", [
-        (["--n", "-1", "--trials", "1"], "--n"),
-        (["missing.el", "--k", "0"], "--k"),
+        (["fan-trials", "--n", "-1", "--trials", "1"], "--n"),
+        (["fan-find", "missing.el", "--k", "0"], "--k"),
     ])
     def test_fan_size_must_be_positive(self, capsys, argv, flag):
         # argparse names the flag before a Graph of order 3n + 1 is built
         # or the file is opened
-        assert main(["fan-find"] + argv) == 2
+        assert main(argv) == 2
         assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, flag", [
-        (["--n", "2", "--trials", "1", "--k", "5"], "--k"),
-        (["FILE", "--k", "1", "--n", "3", "--trials", "2"], "--n"),
-        (["FILE", "--k", "1", "--trials", "2"], "--trials"),
-        (["FILE", "--k", "1", "--seed", "7"], "--seed"),
-        (["--n", "2", "--trials", "1", "--format", "graph6"], "--format"),
+        (["fan-trials", "--n", "2", "--trials", "1", "--k", "5"], "--k"),
+        (["fan-find", "FILE", "--k", "1", "--n", "3", "--trials", "2"], "--n"),
+        (["fan-find", "FILE", "--k", "1", "--trials", "2"], "--trials"),
+        (["fan-find", "FILE", "--k", "1", "--seed", "7"], "--seed"),
+        (["fan-trials", "--n", "2", "--trials", "1", "--format", "graph6"], "--format"),
     ], ids=["k-in-trial-mode", "n-on-a-file", "trials-on-a-file", "seed-on-a-file",
             "format-in-trial-mode"])
     def test_each_mode_rejects_the_other_modes_flags(self, capsys, tmp_path, argv, flag):
         path = tmp_path / "g.el"
         write_graph(Graph(3, [(0, 1)]), path)
         argv = [str(path) if a == "FILE" else a for a in argv]
-        assert main(["fan-find"] + argv) == 2
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"does not take {flag}" in captured.err
+        assert f"unrecognized arguments: {flag}" in captured.err
 
     def test_trial_mode_lemma_failure_exits_1(self, capsys, monkeypatch):
         star = TwoColoring(7, Graph(7, [(0, v) for v in range(1, 7)]))
         monkeypatch.setattr(cli, "conditioned_coloring", lambda rng, n: star)
         monkeypatch.setattr(fans, "find_fan", lambda g, k: None)
-        assert main(["fan-find", "--n", "2", "--trials", "1"]) == 1
+        assert main(["fan-trials", "--n", "2", "--trials", "1"]) == 1
         assert "lemma failed at vertex 0" in capsys.readouterr().err
 
 
@@ -407,12 +419,15 @@ def test_console_script_installed():
     assert json.loads(proc.stdout)["lower"] == 5.0
 
 
-# int() takes each of these tokens; graph files reject them
+# int() takes each of these tokens, and graph files reject them; an empty
+# degree between commas was once dropped, so '1,,1' read as [1, 1]
 @pytest.mark.parametrize("argv, flag, token", [
     (["construct", "turan", "--n", "4_0", "--k", "1_0"], "--n", "4_0"),
-    (["fan-find", "--n", "+2", "--trials", "1"], "--n", "+2"),
-    (["realize", "--x", "1_0,+2", "--y", "6,6"], "--x", "1_0"),
-], ids=["plain", "positive", "degree-list"])
+    (["fan-trials", "--n", "+2", "--trials", "1"], "--n", "+2"),
+    (["realize", "pair", "--x", "1_0,+2", "--y", "6,6"], "--x", "1_0"),
+    (["realize", "pair", "--x", "1,,1", "--y", "2"], "--x", ""),
+    (["realize", "pair", "--x", "1", "--y", "1,"], "--y", ""),
+], ids=["plain", "positive", "degree-list", "empty-degree", "trailing-comma"])
 def test_integers_are_ascii_decimal(capsys, argv, flag, token):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -42,8 +42,10 @@ PARSE_ERRORS = [
     (b"0 1\n1_0 2\n+2 3\n", "{path}:2: non-integer vertex in '1_0 2'"),
     (b"0 1 2\n0 0\n", "{path}:1: expected 'u v', got '0 1 2'"),
     (b"\n  \n# note\n0 1 x\n1 0\n", "{path}:4: expected 'u v', got '0 1 x'"),
-    # '# n=' given twice: the first one counts, a malformed second is ignored
-    (b"# n=3\n# n=x\n0 5\n", "{path}: vertex 5 exceeds declared n=3"),
+    # '# n=' given twice: the second is a fault, valid or not
+    (b"# n=3\n# n=x\n0 5\n", "{path}:2: second vertex count header"),
+    (b"# n=3\n# n=5\n0 1\n", "{path}:2: second vertex count header"),
+    (b"# n=3\n0 1\n#n=3\n", "{path}:3: second vertex count header"),
     (b"# n=x\n# n=3\n0 1\n", "{path}:1: bad vertex count 'n=x'"),
     # '# n=' after the edges
     (b"0 1\n# n=2\n2 3\n", "{path}: vertex 3 exceeds declared n=2"),

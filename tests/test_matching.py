@@ -121,6 +121,12 @@ class TestMatchingObject:
         with pytest.raises(ValueError, match="not in graph"):
             Matching([edge]).validate(g)
 
+    @pytest.mark.parametrize("edges, bad", [([(0, "a")], "'a'"), ([(True, 2)], "True")])
+    def test_rejects_an_id_that_is_not_an_int(self, edges, bad):
+        # a ValueError naming the id, not the sort's TypeError
+        with pytest.raises(ValueError, match=f"matching vertex {bad} is not an int"):
+            Matching(edges)
+
     def test_size_and_vertices(self):
         m = Matching([(3, 1), (0, 2)])
         assert m.size == 2
