@@ -6,8 +6,8 @@ import os
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter
+from itertools import compress, islice, repeat
+from operator import add, itemgetter, lt, mul
 from typing import Iterable, Sequence
 
 from .errors import ParseError
@@ -393,7 +393,10 @@ def read_graph(path: str | os.PathLike, fmt: str = EDGELIST) -> Graph:
         raise ParseError(f"{path}: non-ASCII byte 0x{data[exc.start]:02x} "
                          f"at byte offset {exc.start}") from None
     if fmt == EDGELIST:
-        return _parse_edgelist(text, str(path))
+        # text in write_graph's own shape decodes in whole-text passes; any
+        # other text, and every fault, goes to the line loop
+        g = _parse_written(text)
+        return g if g is not None else _parse_edgelist(text, str(path))
     if fmt == GRAPH6:
         # one graph per file: the first non-blank line, and no other
         lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1)
@@ -418,11 +421,50 @@ def _decimal(token: str) -> bool:
     return digits.isascii() and digits.isdigit()
 
 
+# deletes the digits of an edge list, leaving its separators
+_DROP_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _parse_written(text: str) -> Graph | None:
+    """Graph of an edge list in the shape write_graph writes, decoded in
+    whole-text passes; None for text of any other shape or with a fault.
+
+    The shape is a '# n=K' line, then one 'u v' line per edge with u < v in
+    ascending (u, v) order, every line ending in a newline. The line loop
+    reads such text as the same graph, so the shape alone decides the path.
+    """
+    head, newline, body = text.partition("\n")
+    count = head[4:]
+    lines = body.count("\n")
+    # only digits, then ' ' and '\n' by turns; split() then gives 2 * lines
+    # tokens exactly when none of them is empty
+    if not (newline and head[:4] == "# n=" and count.isdigit()
+            and body.translate(_DROP_DIGITS) == " \n" * lines):
+        return None
+    try:
+        n = int(count)
+        ids = list(map(int, body.split()))
+    except ValueError:  # a number past int()'s digit limit
+        return None
+    us, vs = ids[::2], ids[1::2]
+    if (len(ids) != 2 * lines or n > _MAX_ORDER or max(vs, default=-1) >= n
+            or not all(map(lt, us, vs))):
+        return None
+    # with v < n the key u * n + v orders edges as (u, v) does; strictly
+    # ascending keys also rule out a repeated edge
+    keys = list(map(add, map(mul, us, repeat(n)), vs))
+    if not all(map(lt, keys, islice(keys, 1, None))):
+        return None
+    return Graph._from_rows(_rows(n, zip(us, vs)))
+
+
 def _parse_edgelist(text: str, origin: str) -> Graph:
-    """Graph of an ASCII edge list; the first fault in line order is reported.
+    """Graph of an ASCII edge list, read line by line; the first fault in
+    line order is reported.
 
     An edge line is tested first, since nearly every line is one; a line
-    that fails the test is then classed as blank, comment or fault.
+    that fails the test is then classed as blank, comment or fault. A
+    number too long for int() is a fault at its line.
     """
     declared_n: int | None = None
     # a dict as an insertion-ordered set: rows then fill in file order, which
@@ -434,8 +476,12 @@ def _parse_edgelist(text: str, origin: str) -> Graph:
             a, b = parts
             # ASCII text, where isdigit means 0-9 only
             if a.isdigit() and b.isdigit():
-                u = int(a)
-                v = int(b)
+                try:
+                    u = int(a)
+                    v = int(b)
+                except ValueError:  # past int()'s digit limit
+                    raise ParseError(f"{origin}:{lineno}: vertex id of "
+                                     f"{max(len(a), len(b))} digits is too long") from None
                 if u > v:
                     u, v = v, u
                 elif u == v:
@@ -455,7 +501,11 @@ def _parse_edgelist(text: str, origin: str) -> Graph:
                 count = comment[2:].strip()
                 if not count.isdigit():
                     raise ParseError(f"{origin}:{lineno}: bad vertex count {comment!r}")
-                declared_n = int(count)
+                try:
+                    declared_n = int(count)
+                except ValueError:  # past int()'s digit limit
+                    raise ParseError(f"{origin}:{lineno}: vertex count of "
+                                     f"{len(count)} digits is too long") from None
             continue
         if len(parts) != 2:
             raise ParseError(f"{origin}:{lineno}: expected 'u v', got {raw!r}")

@@ -289,6 +289,12 @@ def _edge_table(n: int) -> list[tuple[int, int, int, int, int, int]]:
             for i in range(1, n) for j in range(i)]
 
 
+# the largest cap brute_force_ramsey allows; the table of each query's
+# K_n_cap is a prefix of _CAP_EDGES
+_MAX_CAP = 9
+_CAP_EDGES = _edge_table(_MAX_CAP)
+
+
 def _search(blue_t: Target, red_t: Target, n: int,
             edges: list[tuple[int, int, int, int, int, int]], ticks: Iterator,
             witness: list[int] | None = None) -> int:
@@ -393,15 +399,15 @@ def brute_force_ramsey(blue_target: Target, red_target: Target, n_cap: int,
     """
     blue_t = _check_target(blue_target, "blue_target")
     red_t = _check_target(red_target, "red_target")
-    limit = 8 if blue_t[0] == "fan" and red_t[0] == "fan" else 9
+    limit = 8 if blue_t[0] == "fan" and red_t[0] == "fan" else _MAX_CAP
     if not 1 <= _int("n_cap", n_cap) <= limit:
         raise SizeGuardError(
             f"cap {n_cap} outside 1..{limit} for {blue_t[0]}-{red_t[0]} search")
     if _int("workers", workers) < 1:
         raise ValueError(f"workers must be a positive int, got {workers!r}")
-    edges, rows = _edge_table(n_cap), []
-    reached = _search(blue_t, red_t, n_cap, edges, repeat(None), rows)
-    witness = tuple([(j, i) for i, j, _, bit_j, _, _ in edges[:reached * (reached - 1) // 2]
+    rows: list[int] = []
+    reached = _search(blue_t, red_t, n_cap, _CAP_EDGES, repeat(None), rows)
+    witness = tuple([(j, i) for i, j, _, bit_j, _, _ in _CAP_EDGES[:reached * (reached - 1) // 2]
                      if rows[i] & bit_j])
     return RamseySearchResult(blue_t, red_t, n_cap,
                               None if reached == n_cap else reached + 1, witness)

@@ -11,7 +11,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fanramsey import (
@@ -19,6 +19,7 @@ from fanramsey import (
     ParseError,
     complement,
     graph6_decode,
+    graphs,
     read_graph,
     star_fan_lower_special,
     write_graph,
@@ -58,6 +59,13 @@ PARSE_ERRORS = [
     (b"0 1\x1c2 2\x1c-1 3\n", "{path}:2: loop 2 2 rejected"),
     # the ASCII check comes before any line
     (b"2 2\n\xff\n", "{path}: non-ASCII byte 0xff at byte offset 4"),
+    # a number past int()'s 4300-digit limit is a fault at its line, before
+    # a later loop or duplicate, also in write_graph's shape; the message
+    # leaves the number out
+    pytest.param(b"# n=3\n0 " + b"1" * 5000 + b"\n1 1\n",
+                 "{path}:2: vertex id of 5000 digits is too long", id="5000-digit-id"),
+    pytest.param(b"# n=" + b"9" * 5000 + b"\n0 1\n0 1\n",
+                 "{path}:1: vertex count of 5000 digits is too long", id="5000-digit-count"),
 ]
 
 
@@ -207,3 +215,132 @@ def test_bits_and_complement_rows(g):
         assert cg.neighbors(v) == expected
         assert cg.bits[v] == sum(2 ** u for u in expected)
     assert complement(cg) == g
+
+
+# Two readers decode an edge list: _parse_written takes text in the shape
+# write_graph writes, in whole-text passes, and the line loop
+# _parse_edgelist takes every file and names faults. read_graph tries the
+# first and falls back to the second, so they must agree wherever the first
+# returns a graph.
+
+@pytest.fixture(scope="module")
+def edge_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("codec") / "g.el"
+
+
+@given(graphs_across_words())
+@settings(max_examples=60, deadline=None)
+def test_written_files_take_the_whole_text_path(edge_file, g):
+    write_graph(g, edge_file)
+    text = edge_file.read_text()
+    assert graphs._parse_written(text) == g == graphs._parse_edgelist(text, str(edge_file))
+
+
+def _text(lines, end="\n"):
+    return "".join(line + end for line in lines)
+
+
+def _edge_line(lines, rng):
+    """Index of a random edge line; an example without one is dropped."""
+    assume(len(lines) > 1)
+    return rng.randrange(1, len(lines))
+
+
+def _swap_lines(lines, n, rng):
+    assume(len(lines) > 1)
+    i, j = rng.sample(range(len(lines)), 2)
+    lines[i], lines[j] = lines[j], lines[i]
+    return _text(lines)
+
+
+def _repeat_line(lines, n, rng):
+    lines.insert(rng.randrange(1, len(lines) + 1), lines[rng.randrange(len(lines))])
+    return _text(lines)
+
+
+def _reverse_edge(lines, n, rng):
+    i = _edge_line(lines, rng)
+    lines[i] = " ".join(reversed(lines[i].split()))
+    return _text(lines)
+
+
+def _id_equal_to_n(lines, n, rng):
+    i = _edge_line(lines, rng)
+    lines[i] = lines[i].split()[0] + f" {n}"
+    return _text(lines)
+
+
+def _no_final_newline(lines, n, rng):
+    return "\n".join(lines)
+
+
+def _leading_zero(lines, n, rng):
+    i = rng.randrange(len(lines))
+    if i:
+        u, v = lines[i].split()
+        lines[i] = f"0{u} {v}" if rng.random() < 0.5 else f"{u} 0{v}"
+    else:
+        lines[0] = f"# n=0{n}"
+    return _text(lines)
+
+
+def _trailing_space(lines, n, rng):
+    lines[rng.randrange(len(lines))] += " "
+    return _text(lines)
+
+
+def _tab(lines, n, rng):
+    i = rng.randrange(len(lines))
+    lines[i] = lines[i].replace(" ", "\t", 1)
+    return _text(lines)
+
+
+def _crlf(lines, n, rng):
+    return _text(lines, "\r\n")
+
+
+def _loop(lines, n, rng):
+    i = _edge_line(lines, rng)
+    u = lines[i].split()[0]
+    lines[i] = f"{u} {u}"
+    return _text(lines)
+
+
+def _count_off_by_one(lines, n, rng):
+    lines[0] = f"# n={n + 1 if n == 0 or rng.random() < 0.5 else n - 1}"
+    return _text(lines)
+
+
+# each takes the lines of a written file, header first and without line
+# ends, and returns the text with one mutation
+MUTATIONS = {
+    "swap-two-lines": _swap_lines,
+    "repeat-a-line": _repeat_line,
+    "u-above-v": _reverse_edge,
+    "id-equal-to-n": _id_equal_to_n,
+    "no-final-newline": _no_final_newline,
+    "leading-zero": _leading_zero,
+    "trailing-space": _trailing_space,
+    "tab": _tab,
+    "crlf": _crlf,
+    "loop": _loop,
+    "count-off-by-one": _count_off_by_one,
+}
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@given(graphs_across_words(), st.sampled_from(sorted(MUTATIONS)),
+       st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_mutated_written_files_read_alike(edge_file, g, mutation, rng):
+    write_graph(g, edge_file)
+    text = MUTATIONS[mutation](edge_file.read_text().split("\n")[:-1], g.n, rng)
+    edge_file.write_bytes(text.encode())
+    assert (_outcome(lambda: read_graph(edge_file))
+            == _outcome(lambda: graphs._parse_edgelist(text, str(edge_file))))
