@@ -6,17 +6,23 @@ but certifies most centers cheaply, in four tiers run on the int masks of
 Graph.bits, in this order: a per-component bound (the smaller side of a
 bipartite component, floor(|C|/2) of any other) witnesses absence; a
 greedy matching witnesses presence; a greedy vertex cover witnesses
-absence; the blossom matcher is the exact fallback. Only the greedy and
-the blossom matcher build witnesses. Within one call, a center whose open
-or closed neighborhood equals that of a center already found fan-free is
-skipped (its absence certificate: "same (closed) neighborhood as center
-u"); witnesses are the same as without the skip.
+absence; the blossom matcher is the exact fallback. The bound grows each
+component of G[N(v)] a whole BFS layer at a time: a layer's rows are read
+by decoding its mask, or bit by bit when the layer holds fewer than one
+vertex per 32 bits of its length. Only the greedy and the blossom matcher
+build witnesses. Within one call, a center whose open or closed
+neighborhood equals that of a center already found fan-free is skipped
+(its absence certificate: "same (closed) neighborhood as center u");
+witnesses are the same as without the skip.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import FanExtensionError
@@ -27,6 +33,7 @@ from .graphs import (
     Graph,
     MultipartiteSpec,
     TwoColoring,
+    _BIT_BYTES,
     _int,
     induced,
     opposite,
@@ -78,47 +85,84 @@ def validate_fan_witness(g: Graph, w: FanWitness, k: int | None = None) -> None:
 # Fan detection
 # ---------------------------------------------------------------------------
 
+def _component_bound(g: Graph, v: int) -> int:
+    """Upper bound on the matching number of G[N(v)]: each component holds
+    at most its smaller side when bipartite and floor(|C|/2) otherwise
+    (Tutte-Berge with U empty).
+
+    Each component grows one BFS layer per step: the next layer is the OR
+    of the layer's rows, masked to N(v), and the component is bipartite
+    exactly when no layer meets that OR (an edge inside a BFS layer closes
+    an odd cycle). A layer's rows are found by decoding its mask, which
+    costs the mask's bit length, not its popcount; a sparse layer, one with
+    fewer than one vertex per 32 bits of length, is walked bit by bit
+    instead. Vertices isolated in N(v) add nothing and start no search,
+    and the scan of N(v) ends once every vertex is placed or isolated.
+    """
+    hood = g.neighbors(v)
+    bits = g.bits
+    hood_mask = bits[v]
+    ids = range(g.n)
+    placed = 0
+    left = len(hood)
+    bound = 0
+    for s in hood:
+        if placed >> s & 1:
+            continue
+        frontier = bits[s] & hood_mask
+        if not frontier:
+            left -= 1
+        else:
+            # N(v) less this component so far
+            unseen = hood_mask ^ 1 << s ^ frontier
+            sides = [1, 0]
+            parity = 1
+            bipartite = True
+            while frontier:
+                size = frontier.bit_count()
+                sides[parity] += size
+                if size << 5 < frontier.bit_length():
+                    reach = 0
+                    rest = frontier
+                    while rest:
+                        low = rest & -rest
+                        reach |= bits[low.bit_length() - 1]
+                        rest ^= low
+                else:
+                    reach = reduce(or_, map(bits.__getitem__, compress(
+                        ids, bin(frontier)[:1:-1].encode().translate(_BIT_BYTES))))
+                bipartite = bipartite and not reach & frontier
+                frontier = reach & unseen
+                unseen ^= frontier
+                parity ^= 1
+            placed |= hood_mask ^ unseen
+            order = sides[0] + sides[1]
+            left -= order
+            bound += min(sides) if bipartite else order // 2
+        if not left:
+            break
+    return bound
+
+
 def _fan_at(g: Graph, v: int, k: int) -> FanWitness | None:
     """Exact test for a k-edge matching inside N(v), cheap certificates first.
 
     Vertex sets are int masks over original ids (see Graph.bits). The
     component bound runs before the greedy: it decides most centers, and
     when it is below k no k-edge matching exists, so the greedy could not
-    have found one and the witnesses do not depend on the order.
+    have found one and the witnesses do not depend on the order. The bound
+    grows each component a BFS layer at a time, from the rows of g, and
+    walks a layer bit by bit only when the layer is sparse in its bit
+    length (see _component_bound); the rows of G[N(v)] are built only for
+    the tiers after it.
     """
+    # Absence certificate 1: the component bound.
+    if _component_bound(g, v) < k:
+        return None
     hood = g.neighbors(v)
     bits = g.bits
     hood_mask = bits[v]
     local = {u: bits[u] & hood_mask for u in hood}
-
-    # Absence certificate 1: each component holds at most its smaller side
-    # when bipartite and floor(|C|/2) otherwise (Tutte-Berge with U empty).
-    seen = 0
-    bound = 0
-    for s in hood:
-        if seen >> s & 1 or not local[s]:
-            continue
-        comp = frontier = 1 << s
-        counts = [0, 0]
-        parity = 0
-        bipartite = True
-        while frontier:
-            counts[parity] += frontier.bit_count()
-            reach = 0
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                nb = local[low.bit_length() - 1]
-                bipartite = bipartite and not nb & frontier
-                reach |= nb
-                rest ^= low
-            frontier = reach & ~comp
-            comp |= frontier
-            parity ^= 1
-        seen |= comp
-        bound += min(counts) if bipartite else (counts[0] + counts[1]) // 2
-    if bound < k:
-        return None
 
     # Presence: greedy matching, each u paired with its smallest unused
     # neighbor; an unused neighbor below u would already have taken u.

@@ -435,11 +435,20 @@ def _parse_written(text: str) -> Graph | None:
     """
     head, newline, body = text.partition("\n")
     count = head[4:]
+    if not (newline and head[:4] == "# n=" and count.isdigit()):
+        return None
+    # a file in another edge order shows it on its first two lines: test
+    # them before the whole-text passes
+    try:
+        lead = list(map(int, body.split(None, 4)[:4]))
+    except ValueError:  # not a decimal, or past int()'s digit limit
+        return None
+    if len(lead) >= 2 and (lead[0] >= lead[1] or lead[2:] and lead[2:] <= lead[:2]):
+        return None
     lines = body.count("\n")
     # only digits, then ' ' and '\n' by turns; split() then gives 2 * lines
     # tokens exactly when none of them is empty
-    if not (newline and head[:4] == "# n=" and count.isdigit()
-            and body.translate(_DROP_DIGITS) == " \n" * lines):
+    if body.translate(_DROP_DIGITS) != " \n" * lines:
         return None
     try:
         n = int(count)

@@ -222,3 +222,37 @@ def find_fan_every_center(g: Graph, k: int) -> FanWitness | None:
             validate_fan_witness(g, w, k)
             return w
     return None
+
+
+def component_bound_by_vertex(g: Graph, v: int) -> int:
+    """fans._component_bound grown one vertex at a time: each BFS layer is
+    walked vertex by vertex on the rows of G[N(v)], and the component is
+    not bipartite once some vertex has a neighbour in its own layer."""
+    hood = g.neighbors(v)
+    hood_mask = g.bits[v]
+    local = {u: g.bits[u] & hood_mask for u in hood}
+    seen = 0
+    bound = 0
+    for s in hood:
+        if seen >> s & 1 or not local[s]:
+            continue
+        comp = frontier = 1 << s
+        counts = [0, 0]
+        parity = 0
+        bipartite = True
+        while frontier:
+            counts[parity] += frontier.bit_count()
+            reach = 0
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                nb = local[low.bit_length() - 1]
+                bipartite = bipartite and not nb & frontier
+                reach |= nb
+                rest ^= low
+            frontier = reach & ~comp
+            comp |= frontier
+            parity ^= 1
+        seen |= comp
+        bound += min(counts) if bipartite else (counts[0] + counts[1]) // 2
+    return bound

@@ -34,7 +34,12 @@ from fanramsey import (
     validate_fan_witness,
 )
 from fanramsey import fans
-from oracles import brute_matching, cycle_oracle, find_fan_every_center
+from oracles import (
+    brute_matching,
+    component_bound_by_vertex,
+    cycle_oracle,
+    find_fan_every_center,
+)
 
 
 def random_graph(rng, n, p=0.5):
@@ -573,6 +578,44 @@ def test_component_bound_decides_without_blossom(monkeypatch, graph, k):
 
     monkeypatch.setattr(fans, "max_matching", no_blossom)
     assert find_fan(graph, k) is None
+
+
+@st.composite
+def spread_graphs(draw):
+    """A graph on up to 16 vertices whose ids are spread over 0..n-1 for n
+    up to 4096: small n gives layers that are dense in their bit length,
+    large ids give sparse ones. Random edges leave hood vertices isolated,
+    split hoods into several components and close odd cycles."""
+    n = draw(st.integers(min_value=2, max_value=4096))
+    size = draw(st.integers(min_value=2, max_value=min(n, 16)))
+    ids = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                        min_size=size, max_size=size, unique=True))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    p = draw(st.floats(min_value=0, max_value=1))
+    return Graph(n, [(ids[a], ids[b]) for a, b in itertools.combinations(range(size), 2)
+                     if rng.random() < p]), ids
+
+
+@given(spread_graphs())
+@settings(max_examples=300, deadline=None)
+def test_component_bound_agrees_with_vertex_at_a_time_bound(gi):
+    g, ids = gi
+    for v in ids:
+        assert fans._component_bound(g, v) == component_bound_by_vertex(g, v)
+
+
+@pytest.mark.parametrize("n", [16, 4096])
+def test_component_bound_cases(n):
+    # hood of 0, at the top ids so that n = 4096 gives sparse layers: an
+    # isolated vertex a; an edge b-c (bound 1); a K4 on d, e, f, h, odd (2,
+    # where its smaller BFS side is 1); a tree i-j, i-x, j-y, j-z with
+    # sides {i, y, z} and {j, x} (2)
+    a, b, c, d, e, f, h, i, j, x, y, z = range(n - 12, n)
+    edges = [(0, u) for u in (a, b, c, d, e, f, h, i, j, x, y, z)]
+    edges += [(b, c), (d, e), (d, f), (d, h), (e, f), (e, h), (f, h),
+              (i, j), (i, x), (j, y), (j, z)]
+    g = Graph(n, edges)
+    assert fans._component_bound(g, 0) == component_bound_by_vertex(g, 0) == 5
 
 
 @st.composite
