@@ -136,7 +136,8 @@ def realize_bigraphic(spec: DegreePairSpec) -> tuple[Graph, tuple[frozenset[int]
     for u, want in sorted(enumerate(spec.xs), key=lambda e: (-e[1], e[0])):
         if want == 0:
             break
-        partners = sorted(range(b), key=lambda j: (-need_y[j], j))[:want]
+        # a stable sort: equal needs stay in ascending j
+        partners = sorted(range(b), key=[-y for y in need_y].__getitem__)[:want]
         if need_y[partners[-1]] <= 0:
             raise AssertionError("greedy realization ran out of capacity")
         for j in partners:

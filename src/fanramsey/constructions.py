@@ -92,15 +92,16 @@ def _assemble_star_fan(m: int, n: int,
     except ValueError as exc:
         raise RuntimeError(f"interval realization infeasible: {exc}") from exc
 
+    # red rows from their blocks: X1-X2, X1-Y2 and X2-Y1 are complete;
+    # partial row i < a (ids a..a+b-1) gives X1[i]-Y1 and X2[i]-Y2, and
+    # partial row a + j (ids 0..a-1) gives Y1[j]-X1 and Y2[j]-X2
     x1, x2, y1, y2 = params.x1, params.x2, params.y1, params.y2
-    edges = [(u, w) for u in x1 for w in x2]
-    edges += [(u, w) for u in x1 for w in y2]
-    edges += [(u, w) for u in x2 for w in y1]
-    for u, w in partial.edges():
-        i, j = (u, w - a) if u < a else (w, u - a)
-        edges.append((x1[i], y1[j]))
-        edges.append((x2[i], y2[j]))
-    red = Graph(big_n, edges)
+    rows = partial._sorted
+    red = Graph._from_rows(tuple(
+        [(*x2, *map(a.__add__, rows[i]), *y2) for i in x1]
+        + [(*x1, *y1, *map((a + b).__add__, rows[i])) for i in x1]
+        + [(*rows[j], *x2) for j in range(a, a + b)]
+        + [(*x1, *map(a.__add__, rows[j])) for j in range(a, a + b)]))
     coloring = TwoColoring(big_n, red)
 
     if red.min_degree() < big_n - m:
@@ -175,12 +176,13 @@ def turan_lower(n: int, k: int) -> Graph:
     if not (1 <= _int("k", k) and 2 * k < _int("n", n)):
         raise UnsupportedRangeError(f"need 1 <= k < n/2, got k={k}, n={n}")
     if 4 * k <= n:
+        # K_{half, n-half} with a (k-1)-clique on 0..k-2 and one on k-1..2k-3
         half = n // 2
-        edges = [(u, w) for u in range(half) for w in range(half, n)]
-        for base in (0, k - 1):
-            edges += [(u, w) for w in range(base + 1, base + k - 1)
-                      for u in range(base, w)]
-        g = Graph(n, edges)
+        low, high = tuple(range(half)), tuple(range(half, n))
+        g = Graph._from_rows(tuple(
+            [(*range(base, v), *range(v + 1, base + k - 1), *high)
+             for base in (0, k - 1) for v in range(base, base + k - 1)]
+            + [high] * (half - 2 * k + 2) + [low] * (n - half)))
     elif 3 * k <= n:
         sizes = [s for s in (k - 1, k - 1, n - 2 * k + 2) if s > 0]
         g = build_complete_multipartite(MultipartiteSpec(sizes))

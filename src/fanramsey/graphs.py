@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import re
 from bisect import bisect_left, bisect_right
@@ -36,6 +37,15 @@ def _int(name: str, value):
     if not _is_int(value):
         raise ValueError(f"{name} must be an int, got {value!r}")
     return value
+
+
+def _ids(vertices: Iterable) -> list[int]:
+    """The vertex ids as a list, or a ValueError naming the first that is
+    not an int or is a bool (a set would merge True into 1)."""
+    ids = list(vertices)
+    for v in ids:
+        _int("vertex", v)
+    return ids
 
 
 def opposite(color: str) -> str:
@@ -173,7 +183,7 @@ def induced(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     Returns the subgraph together with the relabeling map: entry i is the
     original id of new vertex i. Vertices are taken in ascending order.
     """
-    keep = sorted(set(vertices))
+    keep = sorted(set(_ids(vertices)))
     for v in keep:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for {g.n} vertices")
@@ -235,12 +245,11 @@ class MultipartiteSpec:
 
 def build_complete_multipartite(spec: MultipartiteSpec) -> Graph:
     """Complete multipartite graph with vertex blocks laid out in part order."""
-    ranges = spec.part_ranges()
-    edges = []
-    for i, ri in enumerate(ranges):
-        for rj in ranges[i + 1:]:
-            edges.extend((u, v) for u in ri for v in rj)
-    return Graph(spec.total, edges)
+    # every vertex of a part has the same row: all ids outside the part
+    rows = []
+    for part in spec.part_ranges():
+        rows += [(*range(part.start), *range(part.stop, spec.total))] * len(part)
+    return Graph._from_rows(tuple(rows))
 
 
 class TwoColoring:
@@ -277,6 +286,9 @@ class TwoColoring:
         raise ValueError(f"unknown color {color!r}")
 
     def color_of(self, u: int, v: int) -> str:
+        # a bare type test first: eg_neighborhood_structure asks every pair
+        if type(u) is not int or type(v) is not int:
+            _ids((u, v))
         if u == v:
             raise ValueError("no color on a vertex pair (u, u)")
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -423,6 +435,7 @@ def _decimal(token: str) -> bool:
 
 # deletes the digits of an edge list, leaving its separators
 _DROP_DIGITS = str.maketrans("", "", "0123456789")
+_COMMAS = str.maketrans(" \n", ",,")
 
 
 def _parse_written(text: str) -> Graph | None:
@@ -452,8 +465,9 @@ def _parse_written(text: str) -> Graph | None:
         return None
     try:
         n = int(count)
-        ids = list(map(int, body.split()))
-    except ValueError:  # a number past int()'s digit limit
+        # with every separator a comma the body is a JSON array of the ids
+        ids = json.loads(f"[{body.translate(_COMMAS)[:-1]}]")
+    except ValueError:  # a leading zero, or a number past int()'s digit limit
         return None
     us, vs = ids[::2], ids[1::2]
     if (len(ids) != 2 * lines or n > _MAX_ORDER or max(vs, default=-1) >= n
@@ -464,7 +478,14 @@ def _parse_written(text: str) -> Graph | None:
     keys = list(map(add, map(mul, us, repeat(n)), vs))
     if not all(map(lt, keys, islice(keys, 1, None))):
         return None
-    return Graph._from_rows(_rows(n, zip(us, vs)))
+    # u's higher neighbours are its run of vs; its lower ones come in
+    # ascending order from the edges before that run
+    lower: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(us, vs):
+        lower[v].append(u)
+    cuts = list(map(bisect_left, repeat(us, n + 1), range(n + 1)))
+    return Graph._from_rows(tuple(map(tuple, map(
+        add, lower, map(vs.__getitem__, map(slice, cuts, islice(cuts, 1, None)))))))
 
 
 def _parse_edgelist(text: str, origin: str) -> Graph:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .graphs import Graph, TwoColoring, _int, _isolate, induced, opposite
+from .graphs import Graph, TwoColoring, _ids, _int, _isolate, induced, opposite
 
 
 def _sorted_pairs(pairs: Iterable[tuple[int, int]],
@@ -321,8 +321,8 @@ def konig_cover(g: Graph, sides: tuple[Iterable[int], Iterable[int]]) -> VertexC
     maximum matching (Dulmage-Mendelsohn), so the cover does not depend on
     which one max_matching returns.
     """
-    left = frozenset(sides[0])
-    right = frozenset(sides[1])
+    left = frozenset(_ids(sides[0]))
+    right = frozenset(_ids(sides[1]))
     if left & right or left | right != frozenset(range(g.n)):
         raise ValueError("sides must partition the vertex set")
     for u, v in g.edges():

@@ -7,7 +7,18 @@ refuse instances past their vertex guard. The library never calls them.
 from collections.abc import Iterator
 from functools import lru_cache
 
-from fanramsey import FanWitness, Graph, Matching, SizeGuardError, validate_fan_witness
+from fanramsey import (
+    ConstructionParams,
+    DegreePairSpec,
+    FanWitness,
+    Graph,
+    IntervalRealizationParams,
+    Matching,
+    MultipartiteSpec,
+    SizeGuardError,
+    realize_interval,
+    validate_fan_witness,
+)
 from fanramsey import fans
 from fanramsey.ramsey import _fan_through, _nu_at_least
 
@@ -256,3 +267,61 @@ def component_bound_by_vertex(g: Graph, v: int) -> int:
         seen |= comp
         bound += min(counts) if bipartite else (counts[0] + counts[1]) // 2
     return bound
+
+
+# The builders below list every edge pair by pair, as the library did
+# before it built rows from blocks; Graph(n, edges) of their output must
+# equal the library's graph.
+
+def star_fan_red_edges(m: int, n: int, window: int | None = None) -> tuple[int, list]:
+    """Order and red edges of the 4-block star-fan coloring: X1-X2, X1-Y2
+    and X2-Y1 complete, and each partial edge (i, a + j) as X1[i]-Y1[j]
+    and X2[i]-Y2[j]."""
+    params = ConstructionParams(m, n)
+    a, b = params.a, params.b
+    partial = realize_interval(IntervalRealizationParams(
+        a, b, n - 1 - b, n - 1, params.sigma if window is None else window))
+    x1, x2, y1, y2 = params.x1, params.x2, params.y1, params.y2
+    edges = [(u, w) for u in x1 for w in x2]
+    edges += [(u, w) for u in x1 for w in y2]
+    edges += [(u, w) for u in x2 for w in y1]
+    for u, w in partial.edges():
+        i, j = (u, w - a) if u < a else (w, u - a)
+        edges.append((x1[i], y1[j]))
+        edges.append((x2[i], y2[j]))
+    return params.N, edges
+
+
+def turan_bipartite_edges(n: int, k: int) -> list[tuple[int, int]]:
+    """Edges of turan_lower(n, k) for 4k <= n: K_{n//2, n - n//2} with a
+    (k-1)-clique on 0..k-2 and one on k-1..2k-3."""
+    half = n // 2
+    edges = [(u, w) for u in range(half) for w in range(half, n)]
+    for base in (0, k - 1):
+        edges += [(u, w) for w in range(base + 1, base + k - 1) for u in range(base, w)]
+    return edges
+
+
+def multipartite_edges(spec: MultipartiteSpec) -> list[tuple[int, int]]:
+    """Edges of the complete multipartite graph, parts in spec order."""
+    ranges = spec.part_ranges()
+    edges = []
+    for i, ri in enumerate(ranges):
+        for rj in ranges[i + 1:]:
+            edges.extend((u, v) for u in ri for v in rj)
+    return edges
+
+
+def bigraphic_edges(spec: DegreePairSpec) -> list[tuple[int, int]]:
+    """realize_bigraphic's greedy with partners ordered by the tuple key
+    (-need_y[j], j); the spec must be bigraphic."""
+    a, b = spec.a, spec.b
+    need_y = list(spec.ys)
+    edges = []
+    for u, want in sorted(enumerate(spec.xs), key=lambda e: (-e[1], e[0])):
+        if want == 0:
+            break
+        for j in sorted(range(b), key=lambda j: (-need_y[j], j))[:want]:
+            need_y[j] -= 1
+            edges.append((u, a + j))
+    return edges

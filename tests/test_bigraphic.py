@@ -2,14 +2,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanramsey import (
     DegreePairSpec,
+    Graph,
     IntervalRealizationParams,
     is_bigraphic,
     realize_bigraphic,
     realize_interval,
 )
+from oracles import bigraphic_edges
 
 
 def realizable_pairs(a, b):
@@ -126,6 +130,21 @@ class TestRealizeBigraphic:
         # and takes the largest remaining y-degrees, lowest ids first
         g, _ = realize_bigraphic(DegreePairSpec([1, 2, 1], [2, 1, 1]))
         assert g.edges() == [(0, 3), (1, 3), (1, 4), (2, 5)]
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.randoms(use_true_random=False),
+           st.sampled_from([0.1, 0.5, 0.9]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_edges_as_the_tuple_key(self, a, b, rng, p):
+        # the degrees of a random bipartite graph form a bigraphic pair
+        xs, ys = [0] * a, [0] * b
+        for i in range(a):
+            for j in range(b):
+                if rng.random() < p:
+                    xs[i] += 1
+                    ys[j] += 1
+        spec = DegreePairSpec(xs, ys)
+        g, _ = realize_bigraphic(spec)
+        assert g == Graph(a + b, bigraphic_edges(spec))
 
     def test_unrealizable_raises(self):
         with pytest.raises(ValueError):

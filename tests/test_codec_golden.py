@@ -236,6 +236,28 @@ def test_written_files_take_the_whole_text_path(edge_file, g):
     assert graphs._parse_written(text) == g == graphs._parse_edgelist(text, str(edge_file))
 
 
+@pytest.mark.parametrize("text, edges", [
+    ("# n=0\n", []), ("# n=1\n", []), ("# n=7\n", []),
+    ("# n=2\n0 1\n", [(0, 1)]), ("# n=12\n3 11\n", [(3, 11)]),
+], ids=["n0", "n1", "header-only", "one-edge", "one-edge-n12"])
+def test_short_files_take_the_whole_text_path(text, edges):
+    n = int(text.split("\n")[0][4:])
+    g = graphs._parse_written(text)
+    assert g is not None
+    assert g == graphs._parse_edgelist(text, "short.el") == Graph(n, edges)
+
+
+@pytest.mark.parametrize("text", ["# n=3\n00 1\n", "# n=3\n0 1\n0 02\n", "# n=4\n1 3\n2 03\n"])
+def test_leading_zero_goes_to_the_line_loop(tmp_path, text):
+    # JSON takes no leading zero, so the whole-text pass refuses the file;
+    # the line loop reads the id as int() does
+    assert graphs._parse_written(text) is None
+    path = tmp_path / "zero.el"
+    path.write_text(text)
+    assert read_graph(path) == graphs._parse_edgelist(text, str(path))
+    assert read_graph(path).edge_count() == text.count("\n") - 1
+
+
 def _text(lines, end="\n"):
     return "".join(line + end for line in lines)
 

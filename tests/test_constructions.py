@@ -6,6 +6,7 @@ import pytest
 from fanramsey import (
     RED,
     ConstructionParams,
+    Graph,
     UnsupportedRangeError,
     chromatic_lower,
     dirac_threshold,
@@ -17,6 +18,7 @@ from fanramsey import (
     turan_lower,
 )
 from fanramsey import constructions
+from oracles import star_fan_red_edges, turan_bipartite_edges
 
 
 class TestStarFanLower:
@@ -131,6 +133,33 @@ class TestStarFanSpecial:
             star_fan_lower_special(1)
         with pytest.raises(UnsupportedRangeError):
             star_fan_lower_special(3)
+
+
+class TestRowsMatchTheEdgeListAssembly:
+    """The builders hand Graph their rows; Graph(N, edges) of the edges
+    listed pair by pair must give the same rows."""
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_star_fan(self, n):
+        built = 0
+        for m in range(n + 1, 2 * n + 6):
+            try:
+                coloring, _ = star_fan_lower(m, n)
+            except UnsupportedRangeError:
+                continue
+            assert coloring.red._sorted == Graph(*star_fan_red_edges(m, n))._sorted
+            built += 1
+        assert built or n < 4
+
+    @pytest.mark.parametrize("n", range(4, 61))
+    def test_special(self, n):
+        coloring, _ = star_fan_lower_special(n)
+        assert coloring.red._sorted == Graph(*star_fan_red_edges(2 * n, n, window=3))._sorted
+
+    @pytest.mark.parametrize("n", range(4, 81))
+    def test_turan_bipartite_regime(self, n):
+        for k in range(1, n // 4 + 1):
+            assert turan_lower(n, k)._sorted == Graph(n, turan_bipartite_edges(n, k))._sorted
 
 
 class TestConstructionParams:

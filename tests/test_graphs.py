@@ -38,6 +38,7 @@ from fanramsey import (
     write_coloring,
     write_graph,
 )
+from oracles import multipartite_edges
 
 
 def random_graph(rng, n, p=0.5):
@@ -152,6 +153,14 @@ def test_induced_rejects_ids_outside_the_graph():
         induced(Graph(3, [(0, 1)]), [0, 3])
 
 
+@pytest.mark.parametrize("ids, bad", [([True, 2], "True"), ([1, True], "True"),
+                                     ([0, 1.0], "1.0"), (["a", 1], "'a'")])
+def test_induced_rejects_ids_that_are_not_ints(ids, bad):
+    # True == 1, so a set merges the two and True was taken as vertex 1
+    with pytest.raises(ValueError, match=f"vertex must be an int, got {bad}"):
+        induced(Graph(4, [(0, 1), (1, 2)]), ids)
+
+
 def test_induced_mapping():
     g = Graph(6, [(0, 2), (2, 4), (4, 5), (1, 3)])
     sub, mapping = induced(g, [2, 4, 5])
@@ -187,6 +196,13 @@ class TestMultipartite:
             n = spec.total
             expect = (n * n - sum(s * s for s in spec.part_sizes)) // 2
             assert g.edge_count() == expect
+
+    def test_rows_match_the_edge_list_assembly(self):
+        rng = random.Random(22)
+        for _ in range(200):
+            spec = MultipartiteSpec([rng.randint(1, 6) for _ in range(rng.randint(1, 6))])
+            g = build_complete_multipartite(spec)
+            assert g._sorted == Graph(spec.total, multipartite_edges(spec))._sorted
 
     def test_part_ranges_cover(self):
         spec = MultipartiteSpec([2, 3, 1])
@@ -227,7 +243,9 @@ class TestTwoColoring:
         (lambda k: k.degree(0, "green"), "unknown color"),
         (lambda k: k.color_of(1, 1), r"\(u, u\)"),
         (lambda k: k.color_of(0, 3), "out of range"),
-    ], ids=["order", "graph", "degree", "same-pair", "pair-range"])
+        (lambda k: k.color_of(0, 1.5), "vertex must be an int, got 1.5"),
+        (lambda k: k.color_of(True, 1), "vertex must be an int, got True"),
+    ], ids=["order", "graph", "degree", "same-pair", "pair-range", "float-id", "bool-id"])
     def test_rejects_bad_argument(self, call, message):
         with pytest.raises(ValueError, match=message):
             call(TwoColoring(3, Graph(3, [(0, 1)])))

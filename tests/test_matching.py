@@ -330,6 +330,13 @@ class TestKonigCover:
         with pytest.raises(ValueError):
             konig_cover(g, ([0, 1], [2]))
 
+    @pytest.mark.parametrize("sides, bad", [(([True], [0]), "True"), (([1, True], [0]), "True"),
+                                            (([1], [0.0]), "0.0")])
+    def test_rejects_ids_that_are_not_ints(self, sides, bad):
+        # True == 1, so {True} and {0} once passed as a partition of {0, 1}
+        with pytest.raises(ValueError, match=f"vertex must be an int, got {bad}"):
+            konig_cover(Graph(2, [(0, 1)]), sides)
+
     @pytest.mark.parametrize("sides", [([0, 1], [1, 2, 3]), ([0, 1], [2])],
                              ids=["overlap", "missing"])
     def test_rejects_sides_that_do_not_partition(self, sides):

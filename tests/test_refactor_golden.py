@@ -377,6 +377,30 @@ def test_special_construction_unchanged(n):
     assert (p.a, p.b, p.sigma, p.N, digest) == SPECIAL[n]
 
 
+# n -> (pairs m = n+1..2n+5 that star_fan_lower builds, first 16 hex digits
+# of sha256(repr([(m, red edge list), ...]))): the benchmark's sweep grid,
+# recorded while the red graph was still built from an edge list
+SWEEP = {
+    14: (19, "cbb94c4bde35ecd4"),
+    15: (20, "dceb44abe6c62974"),
+    16: (21, "7b9d16573ebc0b13"),
+    17: (22, "15dbef5444e26703"),
+    18: (23, "377db54fb0553437"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(SWEEP))
+def test_sweep_constructions_unchanged(n):
+    built = []
+    for m in range(n + 1, 2 * n + 6):
+        try:
+            built.append((m, star_fan_lower(m, n)[0].red.edges()))
+        except UnsupportedRangeError:
+            pass
+    digest = hashlib.sha256(repr(built).encode()).hexdigest()[:16]
+    assert (len(built), digest) == SWEEP[n]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_special_construction_unsupported(n):
     with pytest.raises(UnsupportedRangeError):
