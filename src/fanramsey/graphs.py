@@ -7,7 +7,7 @@ import os
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import compress, count, islice, repeat
 from operator import add, itemgetter, lt, mul
 from typing import Iterable, Sequence
 
@@ -63,14 +63,16 @@ class Graph:
     Immutable after construction. Neighbor queries return sorted tuples so
     every scan over a graph is deterministic; ``bits`` holds the same rows
     as int masks (bit u of ``bits[v]`` marks the edge uv), built on first use.
+    A graph built from masks alone (a complement) decodes a row when it is
+    asked for, and all of them the first time a caller needs them all.
     """
 
-    __slots__ = ("n", "_sorted", "_bits")
+    __slots__ = ("n", "_row_cache", "_bits")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if _int("n", n) < 0:
             raise ValueError("vertex count must be non-negative")
-        edges = list(edges)
+        rows: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             # type(), not isinstance: a bool is an int to isinstance, and it
             # would sit in the rows as True; a float would fail in indexing
@@ -80,21 +82,32 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-        # an edge given twice, in either orientation, counts once
+            rows[u].append(v)
+            rows[v].append(u)
+        for row in rows:
+            row.sort()
         self.n = n
-        self._sorted = tuple([row if len(set(row)) == len(row) else tuple(sorted(set(row)))
-                              for row in _rows(n, edges)])
+        # an edge given twice, in either orientation, counts once
+        self._row_cache: tuple[tuple[int, ...], ...] | None = tuple([
+            tuple(row) if len(set(row)) == len(row) else tuple(sorted(set(row))) for row in rows])
         self._bits: tuple[int, ...] | None = None
 
     @classmethod
-    def _from_rows(cls, rows: tuple[tuple[int, ...], ...],
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...] | None,
                    bits: tuple[int, ...] | None = None) -> "Graph":
-        """Graph on rows that are already sorted, symmetric and loop-free."""
+        """Graph on rows that are already sorted, symmetric and loop-free, or
+        with rows None, on masks alone: its rows are decoded on demand."""
         g = cls.__new__(cls)
-        g.n = len(rows)
-        g._sorted = rows
+        g.n = len(rows if rows is not None else bits)
+        g._row_cache = rows
         g._bits = bits
         return g
+
+    @property
+    def _sorted(self) -> tuple[tuple[int, ...], ...]:
+        if self._row_cache is None:
+            self._row_cache = tuple([_members(m) for m in self._bits])
+        return self._row_cache
 
     @property
     def bits(self) -> tuple[int, ...]:
@@ -106,7 +119,9 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for {self.n} vertices")
-        return self._sorted[v]
+        if self._row_cache is None:
+            return _members(self._bits[v])
+        return self._row_cache[v]
 
     def neighbor_set(self, v: int) -> frozenset[int]:
         return frozenset(self.neighbors(v))
@@ -115,7 +130,9 @@ class Graph:
         return len(self.neighbors(v))
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(map(len, self._sorted))
+        if self._row_cache is None:
+            return tuple(map(int.bit_count, self._bits))
+        return tuple(map(len, self._row_cache))
 
     def min_degree(self) -> int:
         if self.n == 0:
@@ -131,7 +148,7 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in self._sorted[u] if u < v]
 
     def edge_count(self) -> int:
-        return sum(map(len, self._sorted)) // 2
+        return sum(self.degrees()) // 2
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -148,9 +165,8 @@ class Graph:
 def _rows(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
     """Sorted rows of the graph on 0..n-1 with these edges.
 
-    Each pair (u, v) has u != v and both ends in range. A pair given twice
-    is listed twice in both rows; Graph merges such repeats, and the two
-    decoders give each pair once.
+    Each pair (u, v) has u != v, both ends in range, and comes once; the
+    two decoders that call this have checked all three.
     """
     rows: list[list[int]] = [[] for _ in range(n)]
     for u, v in pairs:
@@ -166,15 +182,22 @@ def _rows(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ..
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _selector(mask: int) -> bytes:
+    """Byte i is bit i of mask, as 0 or 1: a selector for compress."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The ids of the set bits of mask, ascending; the cost is the mask's
+    bit length, not its popcount."""
+    return tuple(compress(count(), _selector(mask)))
+
+
 def complement(g: Graph) -> Graph:
-    """Graph with an edge exactly where g has none."""
+    """Graph with an edge exactly where g has none. It holds masks alone, so
+    a search that reads a few rows of a dense complement builds no others."""
     full = (1 << g.n) - 1
-    bits = tuple((full & ~row) ^ 1 << u for u, row in enumerate(g.bits))
-    ids = range(g.n)
-    # rows go through a list, not a generator, see induced
-    rows = tuple([tuple(compress(ids, bin(m)[:1:-1].encode().translate(_BIT_BYTES)))
-                  for m in bits])
-    return Graph._from_rows(rows, bits)
+    return Graph._from_rows(None, tuple([(full & ~row) ^ 1 << u for u, row in enumerate(g.bits)]))
 
 
 def induced(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -182,16 +205,25 @@ def induced(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
 
     Returns the subgraph together with the relabeling map: entry i is the
     original id of new vertex i. Vertices are taken in ascending order.
+    A graph with rows filters them through a dict; a graph on masks alone
+    decodes each kept row at the kept ids, at a cost of its bit length.
     """
     keep = sorted(set(_ids(vertices)))
     for v in keep:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for {g.n} vertices")
+    if g._row_cache is None:
+        # a row's bits at the kept ids, in order, are its bits in new ids
+        kept = _selector(sum(map((1).__lshift__, keep)))
+        new_ids = range(len(keep))
+        rows = tuple([tuple(compress(new_ids, compress(_selector(g._bits[v]), kept)))
+                      for v in keep])
+        return Graph._from_rows(rows), tuple(keep)
     index = {v: i for i, v in enumerate(keep)}
     # tuple(list), not tuple(generator): CPython grows a generator's tuple
     # from 10 slots, and the resized tuples pile up in its per-size free
     # lists (+2 MB peak RSS on the decompose benchmark when they did)
-    rows = tuple(tuple([index[u] for u in g._sorted[v] if u in index]) for v in keep)
+    rows = tuple(tuple([index[u] for u in g._row_cache[v] if u in index]) for v in keep)
     return Graph._from_rows(rows), tuple(keep)
 
 
@@ -286,9 +318,7 @@ class TwoColoring:
         raise ValueError(f"unknown color {color!r}")
 
     def color_of(self, u: int, v: int) -> str:
-        # a bare type test first: eg_neighborhood_structure asks every pair
-        if type(u) is not int or type(v) is not int:
-            _ids((u, v))
+        _ids((u, v))
         if u == v:
             raise ValueError("no color on a vertex pair (u, u)")
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -382,11 +412,12 @@ def write_graph(g: Graph, path: str | os.PathLike, fmt: str = EDGELIST) -> None:
     """Write a graph file; edge list carries '# n=K' so order round-trips."""
     if fmt == EDGELIST:
         lines = [f"# n={g.n}"]
+        names = list(map(str, range(g.n)))
         for u, row in enumerate(g._sorted):
             higher = row[bisect_right(row, u):]
             if higher:
                 # one join per row: the separator starts each next line with "u "
-                lines.append(f"{u} " + f"\n{u} ".join(map(str, higher)))
+                lines.append(f"{u} " + f"\n{u} ".join(map(names.__getitem__, higher)))
         text = "\n".join(lines) + "\n"
     elif fmt == GRAPH6:
         text = graph6_encode(g) + "\n"

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .graphs import Graph, TwoColoring, _ids, _int, _isolate, induced, opposite
+from .graphs import BLUE, Graph, TwoColoring, _ids, _int, _isolate, induced
 
 
 def _sorted_pairs(pairs: Iterable[tuple[int, int]],
@@ -430,15 +430,14 @@ def eg_neighborhood_structure(k: TwoColoring, v: int, color: str, n: int) -> EGN
     half = sum(len(d) - 1 for d in partition.D) + len(partition.C)
     identity_ok = 2 * len(partition.A) + half == 2 * nu
     component_bound_ok = partition.p >= len(partition.A) + len(hood) - (2 * n - 2)
-    other = opposite(color)
-    cross_color_ok = True
-    blocks = list(partition.D) + [partition.C]
-    for i, di in enumerate(partition.D):
-        for block in blocks[i + 1:]:
-            for x in di:
-                for y in block:
-                    if k.color_of(x, y) != other:
-                        cross_color_ok = False
+    # every pair across blocks has the other colour: x's red row holds all
+    # of each later block when the hood is blue and none of it when red
+    red = k.red.bits
+    masks = [sum(map((1).__lshift__, block)) for block in (*partition.D, partition.C)]
+    full = color == BLUE
+    cross_color_ok = all(red[x] & mask == (mask if full else 0)
+                         for i, di in enumerate(partition.D)
+                         for mask in masks[i + 1:] for x in di)
     return EGNeighborhoodReport(
         vertex=v, color=color, n=n, neighborhood=hood, nu=nu,
         applicable=True, window_ok=window_ok, partition=partition,

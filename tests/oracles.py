@@ -16,6 +16,7 @@ from fanramsey import (
     Matching,
     MultipartiteSpec,
     SizeGuardError,
+    opposite,
     realize_interval,
     validate_fan_witness,
 )
@@ -272,6 +273,16 @@ def component_bound_by_vertex(g: Graph, v: int) -> int:
 # The builders below list every edge pair by pair, as the library did
 # before it built rows from blocks; Graph(n, edges) of their output must
 # equal the library's graph.
+
+def cross_color_by_pairs(k, partition, color: str) -> bool:
+    """eg_neighborhood_structure's cross-colour flag, one color_of per pair:
+    every pair of vertices in different D_i / C blocks has the other colour."""
+    other = opposite(color)
+    blocks = [*partition.D, partition.C]
+    return all(k.color_of(x, y) == other
+               for i, di in enumerate(partition.D) for block in blocks[i + 1:]
+               for x in di for y in block)
+
 
 def star_fan_red_edges(m: int, n: int, window: int | None = None) -> tuple[int, list]:
     """Order and red edges of the 4-block star-fan coloring: X1-X2, X1-Y2

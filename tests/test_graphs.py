@@ -22,9 +22,12 @@ from fanramsey import (
     eg_neighborhood_structure,
     fan_ramsey_bounds,
     fan_turan_number,
+    find_fan,
     graph6_decode,
     graph6_encode,
+    high_degree_fan,
     induced,
+    max_matching,
     opposite,
     read_coloring,
     read_graph,
@@ -38,6 +41,7 @@ from fanramsey import (
     write_coloring,
     write_graph,
 )
+from fanramsey.constructions import conditioned_coloring
 from oracles import multipartite_edges
 
 
@@ -70,6 +74,32 @@ class TestGraph:
         with pytest.raises(ValueError, match=re.escape(f"edge ({edge[0]!r}, {edge[1]!r})")):
             Graph(3, [(0, 1), edge])
 
+    @pytest.mark.parametrize("bad, message", [
+        ((0, 1.0), "edge (0, 1.0) has a vertex id that is not an int"),
+        ((0, 4), "edge (0, 4) out of range for 4 vertices"),
+        ((2, 2), "self-loop at vertex 2"),
+    ])
+    def test_first_bad_edge_after_good_ones_is_named(self, bad, message):
+        # validation and row building share one pass over the edges: the
+        # rows are half built when the fault is met, and a later fault of
+        # another kind must not be the one reported
+        edges = [(0, 1), (1, 2), (3, 2), bad, (5, 5), (0, "x")]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Graph(4, edges)
+
+    def test_edges_from_a_generator(self):
+        g = Graph(5, ((u, u + 1) for u in range(4)))
+        assert g == Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        assert g.neighbors(2) == (1, 3)
+
+    def test_repeated_edge_in_both_orientations_counts_once(self):
+        g = Graph(4, [(2, 0), (0, 2), (0, 2), (2, 0), (3, 2), (0, 1)])
+        assert g.neighbors(0) == (1, 2)
+        assert g.neighbors(2) == (0, 3)
+        assert g.degrees() == (2, 1, 2, 1)
+        assert g.edge_count() == 3
+        assert g == Graph(4, [(0, 1), (0, 2), (2, 3)])
+
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError, match="non-negative"):
             Graph(-1)
@@ -87,9 +117,12 @@ class TestGraph:
         # a negative id must not read a row from the end, and an id >= n
         # is no vertex rather than an IndexError
         g = Graph(3, [(0, 2), (1, 2)])
-        for accessor in (g.neighbors, g.neighbor_set, g.degree):
-            with pytest.raises(ValueError, match="out of range"):
-                accessor(v)
+        # a complement decodes rows from its masks, which a negative id
+        # would index from the end as well
+        for graph in (g, complement(g)):
+            for accessor in (graph.neighbors, graph.neighbor_set, graph.degree):
+                with pytest.raises(ValueError, match="out of range"):
+                    accessor(v)
 
     def test_equality_and_hash(self):
         g1 = Graph(3, [(0, 1)])
@@ -516,3 +549,83 @@ def test_complement_degree_property(g):
     cg = complement(g)
     for v in range(g.n):
         assert g.degree(v) + cg.degree(v) == g.n - 1
+
+
+@st.composite
+def complement_cases(draw):
+    """A graph of up to 40 vertices, edgeless, complete or random, and a
+    list of vertex subsets to induce on."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    kind = draw(st.sampled_from(["edgeless", "complete", "random"]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    p = {"edgeless": 0, "complete": 1}.get(kind, rng.random())
+    subsets = [[v for v in range(n) if rng.random() < q] for q in (0.2, 0.5, 0.9)]
+    return random_graph(rng, n, p), subsets
+
+
+@pytest.fixture(scope="module")
+def complement_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("complement")
+    return folder / "masks", folder / "rows"
+
+
+@given(complement_cases())
+@settings(max_examples=150, deadline=None)
+def test_complement_agrees_with_materialized_graph(complement_files, case):
+    # complement() holds masks alone; Graph on the non-edges holds rows.
+    # Each check starts from a new complement, since a call that needs every
+    # row decodes and keeps them, and later calls would read the rows
+    g, subsets = case
+    want = Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                       if not g.has_edge(u, v)])
+    cg = complement(g)
+    assert [cg.neighbors(v) for v in range(g.n)] == list(want._sorted)
+    assert cg.degrees() == want.degrees()
+    assert cg.edge_count() == want.edge_count()
+    assert cg._row_cache is None
+    for vertices in subsets:
+        assert induced(cg, vertices) == induced(want, vertices)
+        assert cg._row_cache is None
+    assert complement(g).edges() == want.edges()
+    assert complement(g) == want and hash(complement(g)) == hash(want)
+    assert max_matching(complement(g)).edges == max_matching(want).edges
+    for k in (1, 2, 3):
+        assert find_fan(complement(g), k) == find_fan(want, k)
+    assert graph6_encode(complement(g)) == graph6_encode(want)
+    masks, rows = complement_files
+    write_graph(complement(g), masks)
+    write_graph(want, rows)
+    assert masks.read_bytes() == rows.read_bytes()
+
+
+def _conditioned(hub: str, n: int):
+    """The first conditioned coloring, by seed, whose vertex 0 is joined to
+    all others in the colour hub."""
+    for seed in itertools.count():
+        k = conditioned_coloring(random.Random(seed), n)
+        if (k.red.degree(0) == 3 * n) == (hub == RED):
+            return k
+
+
+@pytest.mark.parametrize("hub", [RED, BLUE])
+def test_fan_searches_leave_blue_rows_unbuilt(hub):
+    # the blue graph is read through degrees, single rows and induced
+    # hoods, all answered from its masks
+    k = _conditioned(hub, 10)
+    report = verify_fan_fan_witness(k, 10)
+    color, w = high_degree_fan(k, 10)
+    assert k.blue._row_cache is None
+    assert not report.all_hold
+    validate_fan_witness(k.graph(color), w, 10)
+
+
+def test_verify_header_only_order_leaves_blue_rows_unbuilt(tmp_path):
+    # the blue graph of an edgeless red one is complete: its rows would be
+    # about N^2 tuple entries, where one row settles the claim
+    path = tmp_path / "header"
+    path.write_text("# n=3000\n")
+    k = read_coloring(path)
+    report = verify_fan_fan_witness(k, 2)
+    assert k.blue._row_cache is None
+    assert [c.holds for c in report.claims] == [True, False]
+    assert report.claims[1].certificate == {"center": 0, "spokes": [[1, 2], [3, 4]]}

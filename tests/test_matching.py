@@ -20,10 +20,13 @@ from fanramsey import (
     matching_number,
     max_matching,
     star_fan_lower,
+    star_fan_lower_special,
 )
 from fanramsey import matching
 from fanramsey.graphs import _isolate
-from oracles import brute_matching, enumerate_maximum_matchings, konig_cover_from, validate_graph
+from fanramsey.matching import EGPartition
+from oracles import (brute_matching, cross_color_by_pairs, enumerate_maximum_matchings,
+                     konig_cover_from, validate_graph)
 
 
 def random_graph(rng, n, p=0.5):
@@ -358,6 +361,46 @@ class TestEgNeighborhood:
             assert report.cross_color_ok
             data = report.to_json_dict()
             assert data["partition"]["p"] == report.partition.p
+
+    def test_cross_color_agrees_with_pair_loop(self):
+        # hoods of the special coloring, as the decompose benchmark picks
+        # them, and random colorings with hoods in both colours
+        rng = random.Random(29)
+        k, params = star_fan_lower_special(20)
+        cases = [(k, v, RED, 20) for block in (params.x1, params.x2, params.y1, params.y2)
+                 for v in sorted(rng.sample(block, 3))]
+        for _ in range(150):
+            order = rng.randint(2, 14)
+            cases.append((TwoColoring(order, random_graph(rng, order, rng.random())),
+                          rng.randrange(order), rng.choice((RED, BLUE)), rng.randint(1, 4)))
+        seen = set()
+        for c, v, color, n in cases:
+            report = eg_neighborhood_structure(c, v, color, n)
+            if report.applicable:
+                seen.add(color)
+                assert report.cross_color_ok == cross_color_by_pairs(c, report.partition, color)
+        assert seen == {RED, BLUE}
+
+    @pytest.mark.parametrize("color", [RED, BLUE])
+    def test_cross_color_flags_an_edge_across_blocks(self, color, monkeypatch):
+        # a correct decomposition has no edge of the hood's colour across
+        # blocks, so the flag can read False only on a wrong partition: the
+        # hood {1, 2, 3} of vertex 0 holds the edge 12 in its colour, and
+        # the partition puts 1 and 2 in different odd components
+        in_color = [(0, 1), (0, 2), (0, 3), (1, 2)]
+        red = in_color if color == RED else [(1, 3), (2, 3)]
+        k = TwoColoring(4, Graph(4, red))
+
+        def split(d):
+            return lambda sub: EGPartition(A=frozenset(), C=frozenset({2}),
+                                           D=tuple(map(frozenset, d)), p=len(d),
+                                           deficiency=1, nu=1)
+
+        for d, ok in ((({0}, {1}), False), (({0, 1},), True)):
+            monkeypatch.setattr(matching, "edmonds_gallai", split(d))
+            report = eg_neighborhood_structure(k, 0, color, 2)
+            assert report.cross_color_ok is ok
+            assert cross_color_by_pairs(k, report.partition, color) is ok
 
     def test_inapplicable_when_matching_large(self):
         blue_hosts_perfect = TwoColoring(4, Graph(4, []))
