@@ -151,7 +151,7 @@ def conditioned_coloring(rng: random.Random, n: int) -> TwoColoring:
                     red_edges.append((u, w))
             elif rng.random() < 0.5:
                 red_edges.append((u, w))
-    return TwoColoring(big_n, Graph(big_n, red_edges))
+    return TwoColoring.from_red_edges(big_n, red_edges)
 
 
 def chromatic_lower(n: int) -> TwoColoring:

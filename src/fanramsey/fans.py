@@ -35,6 +35,7 @@ from .graphs import (
     TwoColoring,
     _BIT_BYTES,
     _int,
+    _members,
     induced,
     opposite,
 )
@@ -74,10 +75,12 @@ def validate_fan_witness(g: Graph, w: FanWitness, k: int | None = None) -> None:
             raise ValueError(f"fan vertex {x!r} is not a vertex of the graph")
     if len(set(vertices)) != len(vertices):
         raise ValueError("fan vertices are not distinct")
+    bits = g.bits
+    hood = bits[w.center]
     for u, v in w.spokes:
-        if not g.has_edge(u, v):
+        if not bits[u] >> v & 1:
             raise ValueError(f"spoke pair ({u}, {v}) not adjacent")
-        if not g.has_edge(w.center, u) or not g.has_edge(w.center, v):
+        if not (hood >> u & 1 and hood >> v & 1):
             raise ValueError(f"center {w.center} not adjacent to spoke ({u}, {v})")
 
 
@@ -203,8 +206,26 @@ def _fan_at(g: Graph, v: int, k: int) -> FanWitness | None:
 
 def _blossom_fan(g: Graph, v: int, k: int) -> FanWitness | None:
     """F_k centred at v from a maximum matching of G[N(v)], or None when
-    that matching has fewer than k edges."""
-    sub, mapping = induced(g, g.neighbors(v))
+    that matching has fewer than k edges.
+
+    When N(v) holds at least half of the vertices, G[N(v)] is matched in
+    g's own ids: each row of N(v) is decoded from its mask cut to N(v), and
+    every other vertex is isolated. max_matching scans ids in ascending
+    order and never starts at an isolated vertex, so this is the matching
+    of the relabelled copy that induced makes, in original ids, at a cost
+    of O(n) <= 2|N(v)| per row. A smaller hood is relabelled by induced,
+    so that a hood in a large sparse graph costs its size, not n.
+    """
+    hood = g.neighbors(v)
+    if 2 * len(hood) >= g.n:
+        bits = g.bits
+        hood_mask = bits[v]
+        rows: list[tuple[int, ...]] = [()] * g.n
+        for u in hood:
+            rows[u] = _members(bits[u] & hood_mask)
+        sub, mapping = Graph._from_rows(tuple(rows)), range(g.n)
+    else:
+        sub, mapping = induced(g, hood)
     mm = max_matching(sub)
     if mm.size < k:
         return None

@@ -48,6 +48,22 @@ def _ids(vertices: Iterable) -> list[int]:
     return ids
 
 
+def _edge_fault(n: int, u, v) -> ValueError:
+    """The error for an edge (u, v) that fails the edge rule on n vertices,
+    naming the first rule it breaks: both ids ints, both in 0..n-1, u != v.
+
+    Graph() and TwoColoring.from_red_edges test the whole rule inline, as
+    ``type(u) is type(v) is int and 0 <= u < n and 0 <= v < n and u != v``,
+    and call this only for an edge that fails it. type(), not isinstance:
+    a bool is an int to isinstance, and a float would fail in indexing.
+    """
+    if type(u) is not int or type(v) is not int:
+        return ValueError(f"edge ({u!r}, {v!r}) has a vertex id that is not an int")
+    if not (0 <= u < n and 0 <= v < n):
+        return ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+    return ValueError(f"self-loop at vertex {u}")
+
+
 def opposite(color: str) -> str:
     """The other color of a 2-coloring."""
     if color == RED:
@@ -63,8 +79,9 @@ class Graph:
     Immutable after construction. Neighbor queries return sorted tuples so
     every scan over a graph is deterministic; ``bits`` holds the same rows
     as int masks (bit u of ``bits[v]`` marks the edge uv), built on first use.
-    A graph built from masks alone (a complement) decodes a row when it is
-    asked for, and all of them the first time a caller needs them all.
+    A graph built from masks alone (a complement, or the red graph of
+    TwoColoring.from_red_edges) decodes a row when it is asked for, and all
+    of them the first time a caller needs them all.
     """
 
     __slots__ = ("n", "_row_cache", "_bits")
@@ -74,14 +91,8 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         rows: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
-            # type(), not isinstance: a bool is an int to isinstance, and it
-            # would sit in the rows as True; a float would fail in indexing
-            if type(u) is not int or type(v) is not int:
-                raise ValueError(f"edge ({u!r}, {v!r}) has a vertex id that is not an int")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+            if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n and u != v):
+                raise _edge_fault(n, u, v)
             rows[u].append(v)
             rows[v].append(u)
         for row in rows:
@@ -127,6 +138,8 @@ class Graph:
         return frozenset(self.neighbors(v))
 
     def degree(self, v: int) -> int:
+        if self._row_cache is None and 0 <= v < self.n:
+            return self._bits[v].bit_count()
         return len(self.neighbors(v))
 
     def degrees(self) -> tuple[int, ...]:
@@ -288,7 +301,12 @@ class TwoColoring:
     """Red/blue edge coloring of a complete graph, stored as the red graph.
 
     The blue graph is the complement view, computed once on demand, so the
-    two colors can never disagree.
+    two colors can never disagree. A coloring built by from_red_edges holds
+    its red graph as masks alone, as the blue one is held: the fan checks
+    read masks, degrees and single rows, so no row of either colour is
+    built unless a caller asks for it. The masks cost about n^2/8 bytes,
+    which the blue masks of any coloring cost anyway; Graph(n, edges) keeps
+    building rows, since a sparse graph's rows cost far less than that.
     """
 
     __slots__ = ("n", "red", "_blue")
@@ -302,7 +320,21 @@ class TwoColoring:
 
     @classmethod
     def from_red_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "TwoColoring":
-        return cls(n, Graph(n, edges))
+        """The coloring whose red edges these are, checked as Graph(n, edges)
+        checks them; the red graph holds masks alone (see the class doc)."""
+        if _int("n", n) < 0:
+            raise ValueError("vertex count must be non-negative")
+        masks = [0] * n
+        # a shift per edge would cost about a quarter more; the table holds
+        # n^2/16 bytes, half of what the blue masks take
+        power = [1 << u for u in range(n)]
+        for u, v in edges:
+            if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n and u != v):
+                raise _edge_fault(n, u, v)
+            # an edge given twice, in either orientation, sets the same bits
+            masks[u] |= power[v]
+            masks[v] |= power[u]
+        return cls(n, Graph._from_rows(None, tuple(masks)))
 
     @property
     def blue(self) -> Graph:

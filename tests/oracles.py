@@ -16,6 +16,8 @@ from fanramsey import (
     Matching,
     MultipartiteSpec,
     SizeGuardError,
+    induced,
+    max_matching,
     opposite,
     realize_interval,
     validate_fan_witness,
@@ -234,6 +236,16 @@ def find_fan_every_center(g: Graph, k: int) -> FanWitness | None:
             validate_fan_witness(g, w, k)
             return w
     return None
+
+
+def blossom_fan_by_relabelling(g: Graph, v: int, k: int) -> FanWitness | None:
+    """fans._blossom_fan on the relabelled copy of G[N(v)] at every hood
+    size: induced, max_matching, and the first k edges mapped back."""
+    sub, mapping = induced(g, g.neighbors(v))
+    mm = max_matching(sub)
+    if mm.size < k:
+        return None
+    return FanWitness(v, [(mapping[a], mapping[b]) for a, b in mm.edges[:k]])
 
 
 def component_bound_by_vertex(g: Graph, v: int) -> int:

@@ -138,3 +138,20 @@ def test_high_degree_fan_witnesses_unchanged():
         line = json.dumps([color, w.to_json_dict()], sort_keys=True)
         digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == HIGH_DEGREE_DIGEST
+
+
+# sha256 over high_degree_fan at the sizes of certify's conditioned jobs
+# (random.Random(2040), n = 10..40, two conditioned_coloring(rng, n) each;
+# 31 red and 31 blue hubs), one JSON line [color, witness] per input
+HIGH_DEGREE_LARGE_DIGEST = "803c80c4f05f800003b2c6319aa77eb6dadde4130359b674c8af72bdfe3ca353"
+
+
+def test_high_degree_fan_witnesses_unchanged_at_large_n():
+    rng = random.Random(2040)
+    digest = hashlib.sha256()
+    for n in range(10, 41):
+        for _ in range(2):
+            color, w = high_degree_fan(conditioned_coloring(rng, n), n)
+            line = json.dumps([color, w.to_json_dict()], sort_keys=True)
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == HIGH_DEGREE_LARGE_DIGEST

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -29,12 +30,15 @@ from fanramsey import (
     max_blue_star,
     multipartite_matching,
     multipartite_matching_bound,
+    opposite,
     star_fan_lower_special,
     turan_lower,
     validate_fan_witness,
 )
 from fanramsey import fans
+from fanramsey.constructions import conditioned_coloring
 from oracles import (
+    blossom_fan_by_relabelling,
     brute_matching,
     component_bound_by_vertex,
     cycle_oracle,
@@ -93,6 +97,29 @@ class TestFanWitness:
         g = Graph(3, [(0, 1), (0, 2), (1, 2)])
         with pytest.raises(ValueError):
             validate_fan_witness(g, FanWitness(0, [(1, 2)]), 2)
+
+    @pytest.mark.parametrize("k, center, spokes, message", [
+        (2, 0, [(1, 2)], "witness has 1 spokes, expected 2"),
+        (None, 6, [(1, 2)], "fan vertex 6 is not a vertex of the graph"),
+        (None, 0, [(1, 2), (2, 3)], "fan vertices are not distinct"),
+        (None, 0, [(1, 2), (3, 5)], "spoke pair (3, 5) not adjacent"),
+        (None, 0, [(1, 2), (4, 5)], "center 0 not adjacent to spoke (4, 5)"),
+        (None, 0, [(1, 2), (3, 4)], "center 0 not adjacent to spoke (3, 4)"),
+        # the first faulty spoke is named, and its spoke test comes first
+        (None, 0, [(1, 4), (3, 5)], "center 0 not adjacent to spoke (1, 4)"),
+        (None, 0, [(1, 5), (3, 4)], "spoke pair (1, 5) not adjacent"),
+        (None, 0, [(2, 4), (3, 5)], "spoke pair (2, 4) not adjacent"),
+    ])
+    @pytest.mark.parametrize("build", ["rows", "masks"])
+    def test_validate_names_each_fault(self, k, center, spokes, message, build):
+        # 0 is joined to 1, 2, 3 and 5, not to 4; 1-2, 3-4, 4-5 and 1-4 are
+        # edges; the masks form holds no rows, as a coloring's graphs do
+        edges = [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (3, 4), (4, 5), (1, 4)]
+        g = Graph(6, edges) if build == "rows" else \
+            TwoColoring.from_red_edges(6, edges).red
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            validate_fan_witness(g, FanWitness(center, spokes), k)
+        assert build == "rows" or g._row_cache is None
 
     @pytest.mark.parametrize("center, spokes", [(-1, [(0, 1)]), (4, [(0, 1)]),
                                                 (0, [(1, -1)]), (0, [(1, 4)])])
@@ -693,3 +720,68 @@ def test_twin_skip_fan_after_skipped_twin(twins, k, witness):
               + [(7 + 2 * i, 8 + 2 * i) for i in range(k)])
     assert centers_tried(lambda: find_fan_every_center(g, k)) == (witness, [0, 1, 6])
     assert centers_tried(lambda: find_fan(g, k)) == (witness, [0, 6])
+
+
+@st.composite
+def blossom_cases(draw):
+    """A random graph on up to 60 vertices, a centre v and k, with |N(v)|
+    one below, at or one above the least size that holds half of the
+    vertices, so that both branches of _blossom_fan run; the graph comes
+    with its edges, to be built with rows and as masks."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    v = draw(st.integers(min_value=0, max_value=n - 1))
+    size = min(n - 1, max(0, (n + 1) // 2 + draw(st.sampled_from([-1, 0, 1]))))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    p = draw(st.floats(min_value=0, max_value=1))
+    hood = rng.sample([u for u in range(n) if u != v], size)
+    edges = [(v, u) for u in hood] + [
+        (a, b) for a in range(n) for b in range(a + 1, n)
+        if v not in (a, b) and rng.random() < p]
+    k = draw(st.integers(min_value=1, max_value=size // 2 + 1))
+    return n, edges, v, k
+
+
+@given(blossom_cases())
+@settings(max_examples=300, deadline=None)
+def test_blossom_fan_agrees_with_relabelled_matching(case):
+    n, edges, v, k = case
+    for g in (Graph(n, edges), TwoColoring.from_red_edges(n, edges).red):
+        w = fans._blossom_fan(g, v, k)
+        assert w == blossom_fan_by_relabelling(g, v, k)
+        if w is not None:
+            validate_fan_witness(g, w, k)
+
+
+@pytest.mark.parametrize("size, relabels", [(4, 1), (5, 0), (6, 0)])
+def test_blossom_fan_relabels_only_a_hood_below_half(monkeypatch, size, relabels):
+    # n = 10: a hood of 5 or more vertices is matched in the host's ids, and
+    # a smaller one through the relabelled copy that induced makes
+    calls = []
+
+    def counting_induced(g, vertices):
+        calls.append(vertices)
+        return induced(g, vertices)
+
+    monkeypatch.setattr(fans, "induced", counting_induced)
+    hood = range(1, size + 1)
+    g = Graph(10, [(0, u) for u in hood] + list(itertools.pairwise(hood)))
+    w = fans._blossom_fan(g, 0, 2)
+    assert len(calls) == relabels
+    assert w == blossom_fan_by_relabelling(g, 0, 2)
+    validate_fan_witness(g, w, 2)
+
+
+@pytest.mark.parametrize("n", range(10, 41, 3))
+def test_blossom_fan_on_conditioned_hubs(n):
+    # the hub 0 has degree 3n in its colour, three quarters of the vertices,
+    # and degree 0 in the other; vertices 1 and 2 have hoods near half
+    k = conditioned_coloring(random.Random(n), n)
+    for color in (RED, BLUE):
+        g = k.graph(color)
+        for v in (0, 1, 2):
+            for size in (1, n // 2, n):
+                assert fans._blossom_fan(g, v, size) == \
+                    blossom_fan_by_relabelling(g, v, size)
+    hub = RED if k.red.degree(0) == 3 * n else BLUE
+    assert fans._blossom_fan(k.graph(hub), 0, n) is not None
+    assert fans._blossom_fan(k.graph(opposite(hub)), 0, 1) is None

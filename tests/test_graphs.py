@@ -117,12 +117,27 @@ class TestGraph:
         # a negative id must not read a row from the end, and an id >= n
         # is no vertex rather than an IndexError
         g = Graph(3, [(0, 2), (1, 2)])
-        # a complement decodes rows from its masks, which a negative id
-        # would index from the end as well
-        for graph in (g, complement(g)):
+        # a complement, or the red graph of a coloring built from its edges,
+        # decodes rows from its masks, which a negative id would index from
+        # the end as well
+        for graph in (g, complement(g), TwoColoring.from_red_edges(3, g.edges()).red):
             for accessor in (graph.neighbors, graph.neighbor_set, graph.degree):
                 with pytest.raises(ValueError, match="out of range"):
                     accessor(v)
+
+    def test_degree_on_masks_decodes_no_row(self, monkeypatch):
+        # a graph held as masks counts the bits of v's mask; decoding any
+        # row would call graphs._members
+        rng = random.Random(23)
+        cases = []
+        for n in (0, 1, 7, 40, 70):
+            g = random_graph(rng, n, 0.4)
+            cases.append((complement(g), Graph(n, complement(g).edges())))
+            cases.append((TwoColoring.from_red_edges(n, g.edges()).red, g))
+        monkeypatch.setattr("fanramsey.graphs._members", None)
+        for masks, rows in cases:
+            assert [masks.degree(v) for v in range(masks.n)] == list(map(len, rows._sorted))
+            assert masks._row_cache is None
 
     def test_equality_and_hash(self):
         g1 = Graph(3, [(0, 1)])
@@ -609,11 +624,16 @@ def _conditioned(hub: str, n: int):
 
 @pytest.mark.parametrize("hub", [RED, BLUE])
 def test_fan_searches_leave_blue_rows_unbuilt(hub):
-    # the blue graph is read through degrees, single rows and induced
-    # hoods, all answered from its masks
+    # both colours are read through degrees, single rows, the hub's hood
+    # matched in host ids and induced hoods, all answered from masks: a
+    # conditioned coloring is built from its red edges, so red holds masks
+    # alone as blue does
     k = _conditioned(hub, 10)
+    assert k.red._row_cache is None
     report = verify_fan_fan_witness(k, 10)
+    assert k.red._row_cache is None
     color, w = high_degree_fan(k, 10)
+    assert k.red._row_cache is None
     assert k.blue._row_cache is None
     assert not report.all_hold
     validate_fan_witness(k.graph(color), w, 10)
@@ -629,3 +649,59 @@ def test_verify_header_only_order_leaves_blue_rows_unbuilt(tmp_path):
     assert k.blue._row_cache is None
     assert [c.holds for c in report.claims] == [True, False]
     assert report.claims[1].certificate == {"center": 0, "spokes": [[1, 2], [3, 4]]}
+
+
+@st.composite
+def red_edge_lists(draw):
+    """Edges on up to 40 vertices, some given twice or in both orientations,
+    in random order, as a list or as a generator."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    p = draw(st.floats(min_value=0, max_value=1))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    edges += [(v, u) for u, v in edges if rng.random() < 0.2]
+    edges += [e for e in edges if rng.random() < 0.1]
+    rng.shuffle(edges)
+    return n, edges, draw(st.booleans())
+
+
+@given(red_edge_lists())
+@settings(max_examples=150, deadline=None)
+def test_from_red_edges_equals_coloring_of_graph(case):
+    n, edges, lazy = case
+    k = TwoColoring.from_red_edges(n, iter(edges) if lazy else edges)
+    want = TwoColoring(n, Graph(n, edges))
+    assert k.red._row_cache is None
+    assert k.red.bits == want.red.bits
+    assert k.red.degrees() == want.red.degrees()
+    assert [k.degree(v, c) for v in range(n) for c in (RED, BLUE)] == \
+        [want.degree(v, c) for v in range(n) for c in (RED, BLUE)]
+    assert [k.red.neighbors(v) for v in range(n)] == list(want.red._sorted)
+    assert k.red._row_cache is None
+    assert k == want and hash(k) == hash(want)
+    assert k.blue == want.blue
+    assert k.red.edges() == want.red.edges()
+
+
+@pytest.mark.parametrize("n, edges", [
+    (4, [(0, 1), (1, 2), (3, 2), (0, 1.0), (5, 5), (0, "x")]),
+    (4, [(0, 1), (2, 1), (True, 2), (0, 4)]),
+    (4, [(0, 1), (1, 2), (0, 4), (2, 2), (0, None)]),
+    (4, [(0, 1), (3, -1), (0, 1.0)]),
+    (4, [(1, 0), (2, 2), (0, 9)]),
+    (4, [(0, 1), (1, 2, 3)]),
+    (4, [(0, 1), 5]),
+    (4, [(0, 1), (1,)]),
+    (4, 7),
+    (4, None),
+    (-1, []),
+    (2.0, [(0, 1)]),
+    (True, []),
+], ids=lambda x: repr(x)[:40])
+def test_from_red_edges_raises_as_graph_does(n, edges):
+    # the first fault in edge order is the one named, with Graph's own
+    # exception type and message
+    with pytest.raises(Exception) as want:
+        Graph(n, edges)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        TwoColoring.from_red_edges(n, edges)
