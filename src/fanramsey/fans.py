@@ -2,18 +2,19 @@
 
 A fan F_k is a center joined to every vertex of a k-edge matching, so fan
 detection reduces to matching numbers of neighborhoods. find_fan is exact
-but certifies most centers cheaply, in four tiers run on the int masks of
+but certifies most centers cheaply, in three tiers run on the int masks of
 Graph.bits, in this order: a per-component bound (the smaller side of a
 bipartite component, floor(|C|/2) of any other) witnesses absence; a
-greedy matching witnesses presence; a greedy vertex cover witnesses
-absence; the blossom matcher is the exact fallback. The bound grows each
-component of G[N(v)] a whole BFS layer at a time: a layer's rows are read
-by decoding its mask, or bit by bit when the layer holds fewer than one
-vertex per 32 bits of its length. Only the greedy and the blossom matcher
-build witnesses. Within one call, a center whose open or closed
-neighborhood equals that of a center already found fan-free is skipped
-(its absence certificate: "same (closed) neighborhood as center u");
-witnesses are the same as without the skip.
+greedy matching witnesses presence, or absence when it ends with fewer
+than k/2 edges (the ends of a maximal matching meet every edge); the
+blossom matcher is the exact fallback. The bound grows each component of
+G[N(v)] a whole BFS layer at a time: a layer's rows are read by decoding
+its mask, or bit by bit when the layer holds fewer than one vertex per 32
+bits of its length. No hood masks are built after the bound. Only the
+greedy and the blossom matcher build witnesses. Within one call, a center
+whose open or closed neighborhood equals that of a center already found
+fan-free is skipped (its absence certificate: "same (closed) neighborhood
+as center u"); witnesses are the same as without the skip.
 """
 
 from __future__ import annotations
@@ -153,26 +154,24 @@ def _fan_at(g: Graph, v: int, k: int) -> FanWitness | None:
     Vertex sets are int masks over original ids (see Graph.bits). The
     component bound runs before the greedy: it decides most centers, and
     when it is below k no k-edge matching exists, so the greedy could not
-    have found one and the witnesses do not depend on the order. The bound
-    grows each component a BFS layer at a time, from the rows of g, and
-    walks a layer bit by bit only when the layer is sparse in its bit
-    length (see _component_bound); the rows of G[N(v)] are built only for
-    the tiers after it.
+    have found one and the witnesses do not depend on the order. The greedy
+    reads g's masks cut to N(v) and builds none of its own. Ending with
+    fewer than k edges, it is a maximal matching M of G[N(v)], whose 2|M|
+    ends meet every edge, so the matching number is at most 2|M|; the
+    blossom decides when that is >= k.
     """
     # Absence certificate 1: the component bound.
     if _component_bound(g, v) < k:
         return None
-    hood = g.neighbors(v)
     bits = g.bits
     hood_mask = bits[v]
-    local = {u: bits[u] & hood_mask for u in hood}
 
     # Presence: greedy matching, each u paired with its smallest unused
     # neighbor; an unused neighbor below u would already have taken u.
     used = 0
     greedy: list[tuple[int, int]] = []
-    for u in hood:
-        free = local[u] & ~used
+    for u in g.neighbors(v):
+        free = bits[u] & hood_mask & ~used
         if used >> u & 1 or not free:
             continue
         w = (free & -free).bit_length() - 1
@@ -181,25 +180,8 @@ def _fan_at(g: Graph, v: int, k: int) -> FanWitness | None:
         if len(greedy) >= k:
             return FanWitness(v, greedy)
 
-    # Absence certificate 2: a vertex cover of size < k bounds the matching.
-    # Greedy picks maximum remaining degree, smallest id on ties.
-    deg = {u: nb.bit_count() for u, nb in local.items() if nb}
-    alive = hood_mask
-    cover = 0
-    while deg and cover < k:
-        u = max(deg, key=deg.__getitem__)
-        del deg[u]
-        alive ^= 1 << u
-        rest = local[u] & alive
-        while rest:
-            low = rest & -rest
-            y = low.bit_length() - 1
-            deg[y] -= 1
-            if not deg[y]:
-                del deg[y]
-            rest ^= low
-        cover += 1
-    if cover < k:
+    # Absence certificate 2: the maximal greedy's 2|M| ends cover G[N(v)].
+    if 2 * len(greedy) < k:
         return None
     return _blossom_fan(g, v, k)
 
@@ -251,6 +233,9 @@ def find_fan(g: Graph, k: int) -> FanWitness | None:
     if _int("k", k) < 1:
         raise ValueError("fan size must be positive")
     deg = g.degrees()
+    # no center can hold F_k: return before g.bits builds the masks
+    if max(deg, default=0) < 2 * k:
+        return None
     bits = g.bits
     fan_free: set[int] = set()
     # the sort is stable, so equal degrees keep ascending id order

@@ -522,8 +522,8 @@ def _parse_written(text: str) -> Graph | None:
     if len(lead) >= 2 and (lead[0] >= lead[1] or lead[2:] and lead[2:] <= lead[:2]):
         return None
     lines = body.count("\n")
-    # only digits, then ' ' and '\n' by turns; split() then gives 2 * lines
-    # tokens exactly when none of them is empty
+    # only digits, then ' ' and '\n' by turns, so each line is 'u v' unless
+    # an id is empty, which leaves an empty slot that json.loads refuses
     if body.translate(_DROP_DIGITS) != " \n" * lines:
         return None
     try:
@@ -533,6 +533,8 @@ def _parse_written(text: str) -> Graph | None:
     except ValueError:  # a leading zero, or a number past int()'s digit limit
         return None
     us, vs = ids[::2], ids[1::2]
+    # digits after the last newline pass the translate test, and [:-1] then
+    # drops a digit in place of the final comma: 2 * lines ids rule that out
     if (len(ids) != 2 * lines or n > _MAX_ORDER or max(vs, default=-1) >= n
             or not all(map(lt, us, vs))):
         return None

@@ -267,10 +267,13 @@ def matching_number(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 def _components(g: Graph, vertices: Iterable[int]) -> list[frozenset[int]]:
+    """Components of G[vertices], in ascending order of their least vertex:
+    each BFS starts at the least vertex not yet placed."""
     pool = set(vertices)
     comps = []
-    while pool:
-        start = min(pool)
+    for start in sorted(pool):
+        if start not in pool:
+            continue
         comp = {start}
         queue = deque([start])
         pool.remove(start)
@@ -282,7 +285,7 @@ def _components(g: Graph, vertices: Iterable[int]) -> list[frozenset[int]]:
                     comp.add(u)
                     queue.append(u)
         comps.append(frozenset(comp))
-    return sorted(comps, key=min)
+    return comps
 
 
 def edmonds_gallai(g: Graph) -> EGPartition:

@@ -282,6 +282,33 @@ def component_bound_by_vertex(g: Graph, v: int) -> int:
     return bound
 
 
+def greedy_degree_cover(g: Graph, v: int, k: int) -> list[int]:
+    """The vertex cover that fans._fan_at once tried before its blossom
+    step: vertices of G[N(v)] of most remaining degree (the smallest id on
+    ties) until no edge is left or k are picked. A result of fewer than k
+    vertices covers every edge of G[N(v)], so G[N(v)] holds no k-edge
+    matching."""
+    hood_mask = g.bits[v]
+    local = {u: g.bits[u] & hood_mask for u in g.neighbors(v)}
+    deg = {u: nb.bit_count() for u, nb in local.items() if nb}
+    alive = hood_mask
+    cover = []
+    while deg and len(cover) < k:
+        u = max(deg, key=deg.__getitem__)
+        del deg[u]
+        alive ^= 1 << u
+        rest = local[u] & alive
+        while rest:
+            low = rest & -rest
+            y = low.bit_length() - 1
+            deg[y] -= 1
+            if not deg[y]:
+                del deg[y]
+            rest ^= low
+        cover.append(u)
+    return cover
+
+
 # The builders below list every edge pair by pair, as the library did
 # before it built rows from blocks; Graph(n, edges) of their output must
 # equal the library's graph.

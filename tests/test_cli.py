@@ -255,6 +255,22 @@ class TestFanFind:
         assert code == 0 and data["found"] is True
         assert main(["fan-find", str(path), "--k", "1"]) == 3
 
+    def test_header_only_file_builds_no_masks(self, capsys, tmp_path, monkeypatch):
+        # an edgeless graph of 100,000 vertices: no center can hold F_1, so
+        # fan-find and verify's red fan claim never build Graph.bits, whose
+        # table of n shifted bits alone would take about n^2/16 bytes
+        path = tmp_path / "header.el"
+        path.write_text("# n=100000\n")
+
+        def no_bits(g):
+            raise AssertionError("Graph.bits built")
+
+        monkeypatch.setattr(Graph, "bits", property(no_bits))
+        assert main(["fan-find", str(path), "--k", "1"]) == 0
+        assert capsys.readouterr().out == "no F_1\n"
+        assert main(["verify", str(path), "--m", "2", "--n", "1"]) == 1
+        assert "  no red F_1: HOLDS\n" in capsys.readouterr().out
+
     def test_file_mode_needs_k(self, capsys, tmp_path):
         path = tmp_path / "g.el"
         write_graph(Graph(3, []), path)

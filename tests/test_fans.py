@@ -18,6 +18,7 @@ from fanramsey import (
     MultipartiteSpec,
     SizeGuardError,
     TwoColoring,
+    UnsupportedRangeError,
     build_complete_multipartite,
     chromatic_lower,
     complement,
@@ -31,6 +32,7 @@ from fanramsey import (
     multipartite_matching,
     multipartite_matching_bound,
     opposite,
+    star_fan_lower,
     star_fan_lower_special,
     turan_lower,
     validate_fan_witness,
@@ -43,6 +45,7 @@ from oracles import (
     component_bound_by_vertex,
     cycle_oracle,
     find_fan_every_center,
+    greedy_degree_cover,
 )
 
 
@@ -169,6 +172,14 @@ class TestFindFan:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             find_fan(Graph(3, []), 0)
+
+    def test_low_degree_graph_builds_no_masks(self):
+        # no degree reaches 2k, so find_fan decides from the degrees alone
+        # and Graph.bits never builds its n masks
+        g = Graph(20_000, [(0, 1), (1, 2), (0, 2), (5, 19_999)])
+        assert find_fan(g, 2) is None
+        assert g._bits is None
+        assert find_fan(g, 1) is not None and g._bits is not None
 
     @pytest.mark.parametrize("k", [1.5, True, "1"], ids=["float", "bool", "str"])
     def test_rejects_non_int_k(self, k):
@@ -598,13 +609,80 @@ def test_fan_at_agrees_with_brute_matching_per_center(g):
 @pytest.mark.parametrize("graph, k", [
     (turan_lower(40, 10), 10),
     (star_fan_lower_special(20)[0].red, 20),
-], ids=["turan-40-10", "special-20-red"])
+    # the Turan inputs of the certify workload
+    (turan_lower(120, 30), 30),
+    (turan_lower(160, 40), 40),
+    (turan_lower(200, 50), 50),
+], ids=["turan-40-10", "special-20-red", "turan-120-30", "turan-160-40", "turan-200-50"])
 def test_component_bound_decides_without_blossom(monkeypatch, graph, k):
     def no_blossom(g):
         raise AssertionError("blossom fallback reached")
 
     monkeypatch.setattr(fans, "max_matching", no_blossom)
     assert find_fan(graph, k) is None
+
+
+def construction_graphs():
+    """(graph, k) for the graphs the package builds at small orders: every
+    Turan shape turan_lower(n, k) for n = 8..100 in steps of 4, and both
+    colours of chromatic_lower(n) for n = 1..10, of star_fan_lower_special(n)
+    for n = 4..60 and of the star-fan sweep star_fan_lower(m, n) for
+    n = 2..18, m = n+1..2n+5, each with k = n."""
+    graphs = [(turan_lower(n, k), k) for n in range(8, 101, 4) for k in range(1, (n + 1) // 2)]
+    colorings = [(chromatic_lower(n), n) for n in range(1, 11)]
+    colorings += [(star_fan_lower_special(n)[0], n) for n in range(4, 61)]
+    for n in range(2, 19):
+        for m in range(n + 1, 2 * n + 6):
+            try:
+                colorings.append((star_fan_lower(m, n)[0], n))
+            except UnsupportedRangeError:
+                pass
+    for coloring, n in colorings:
+        graphs += [(coloring.red, n), (coloring.blue, n)]
+    return graphs
+
+
+def test_fan_at_decides_every_cover_center_without_blossom():
+    # every center where the greedy vertex cover that _fan_at once ran
+    # before its blossom step is below k is decided by 2|M| < k, the bound
+    # of the greedy matching's own ends
+    graphs = construction_graphs()
+    with mock.patch.object(fans, "_fan_at", wraps=fans._fan_at) as fan_at:
+        for g, k in graphs:
+            find_fan(g, k)
+    # a center the component bound decides never reaches the blossom step;
+    # of the others, keep those where the cover is below k
+    open_centers = [(g, v, k) for g, v, k in (c.args for c in fan_at.call_args_list)
+                    if fans._component_bound(g, v) >= k]
+    by_cover = [(g, v, k) for g, v, k in open_centers
+                if len(greedy_degree_cover(g, v, k)) < k]
+
+    def no_blossom(g, v, k):
+        raise AssertionError(f"blossom step reached at center {v}, k = {k}")
+
+    with mock.patch.object(fans, "_blossom_fan", no_blossom):
+        for g, v, k in by_cover:
+            assert fans._fan_at(g, v, k) is None
+    assert (len(graphs), len(by_cover)) == (1248, 506)
+
+
+@pytest.mark.parametrize("k, b", [(3, 5), (10, 30), (20, 60)])
+def test_fan_at_cover_only_case_takes_one_blossom_call(k, b):
+    # N(0) is K_{k-2,b} plus the edge a-c inside the b side: not bipartite,
+    # so the component bound is floor((k - 2 + b)/2) >= k; the greedy pairs
+    # the small side with the first k - 2 of the b side, then takes a-c:
+    # k - 1 edges, and 2(k - 1) >= k; the small side and a cover every edge,
+    # so nu = k - 1 < k, which without that cover only the blossom proves
+    small, big = range(1, k - 1), range(k - 1, k - 1 + b)
+    a, c = big[-2], big[-1]
+    g = Graph(k - 1 + b, [(0, u) for u in range(1, k - 1 + b)]
+              + [(u, w) for u in small for w in big] + [(a, c)])
+    assert len(greedy_degree_cover(g, 0, k)) == k - 1
+    assert fans._component_bound(g, 0) >= k
+    with mock.patch.object(fans, "_blossom_fan", wraps=fans._blossom_fan) as blossom:
+        assert fans._fan_at(g, 0, k) is None
+    assert blossom.call_count == 1
+    assert fans._blossom_fan(g, 0, k - 1) is not None
 
 
 @st.composite

@@ -512,3 +512,34 @@ def test_deficient_graphs_against_oracles(g):
     for other in enumerate_maximum_matchings(g):
         missed |= set(range(g.n)) - other.vertices()
     assert set().union(*edmonds_gallai(g).D) == missed
+
+
+def components_by_union_find(g, vertices):
+    """Components of G[vertices] by union-find, sorted by their least vertex."""
+    root = {v: v for v in vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, w in g.edges():
+        if u in root and w in root:
+            root[find(u)] = find(w)
+    comps = {}
+    for v in root:
+        comps.setdefault(find(v), set()).add(v)
+    return sorted(map(frozenset, comps.values()), key=min)
+
+
+def test_components_in_ascending_order_of_least_vertex():
+    rng = random.Random(2024)
+    for _ in range(500):
+        n = rng.randint(0, 30)
+        g = random_graph(rng, n, rng.choice([0.02, 0.08, 0.2, 0.5]))
+        vertices = rng.sample(range(n), rng.randint(0, n))
+        assert matching._components(g, vertices) == components_by_union_find(g, vertices)
+    # every vertex its own component: one pass, where taking min(pool) per
+    # component was quadratic in the order
+    assert matching._components(Graph(8000), range(8000)) == \
+        [frozenset([v]) for v in range(8000)]
