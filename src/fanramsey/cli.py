@@ -5,7 +5,8 @@ Each mode is a subcommand (`realize pair|interval`, `fan-find`, `fan-trials`)
 whose flags argparse checks, so a usage error exits 2 before a handler runs.
 
 Exit codes: 0 success / claims hold, 1 claims fail or verification failure,
-2 usage or unsupported parameter range, 3 unreadable or malformed input.
+2 usage or unsupported parameter range, 3 unreadable or malformed input,
+or an input too large for memory.
 Reports are line-oriented by default; --json switches to structured JSON.
 """
 
@@ -289,6 +290,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParseError, OSError) as exc:
         error, status = exc, 3
+    except MemoryError:
+        # an input too large for memory; 1 would read as a failing claim
+        error, status = "out of memory", 3
     except (UnsupportedRangeError, ValueError) as exc:
         error, status = exc, 2
     except RuntimeError as exc:

@@ -10,11 +10,14 @@ than k/2 edges (the ends of a maximal matching meet every edge); the
 blossom matcher is the exact fallback. The bound grows each component of
 G[N(v)] a whole BFS layer at a time: a layer's rows are read by decoding
 its mask, or bit by bit when the layer holds fewer than one vertex per 32
-bits of its length. No hood masks are built after the bound. Only the
-greedy and the blossom matcher build witnesses. Within one call, a center
-whose open or closed neighborhood equals that of a center already found
-fan-free is skipped (its absence certificate: "same (closed) neighborhood
-as center u"); witnesses are the same as without the skip.
+bits of its length. The greedy builds no hood masks of its own. The
+blossom matcher matches a hood of at least half the vertices on its masks
+cut to N(v), as does high_degree_fan, and decodes only the rows its
+augmenting searches read. Only the greedy and the blossom matcher build
+witnesses. Within one call, a center whose open or closed neighborhood
+equals that of a center already found fan-free is skipped (its absence
+certificate: "same (closed) neighborhood as center u"); witnesses are the
+same as without the skip.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .graphs import (
     TwoColoring,
     _BIT_BYTES,
     _int,
-    _members,
     induced,
     opposite,
 )
@@ -191,21 +193,22 @@ def _blossom_fan(g: Graph, v: int, k: int) -> FanWitness | None:
     that matching has fewer than k edges.
 
     When N(v) holds at least half of the vertices, G[N(v)] is matched in
-    g's own ids: each row of N(v) is decoded from its mask cut to N(v), and
-    every other vertex is isolated. max_matching scans ids in ascending
-    order and never starts at an isolated vertex, so this is the matching
-    of the relabelled copy that induced makes, in original ids, at a cost
-    of O(n) <= 2|N(v)| per row. A smaller hood is relabelled by induced,
-    so that a hood in a large sparse graph costs its size, not n.
+    g's own ids, on masks alone: each vertex of N(v) keeps its mask cut to
+    N(v), and every other vertex is isolated. max_matching runs its greedy
+    on those masks and decodes only the rows its searches read, and it
+    scans ids in ascending order and never starts at an isolated vertex, so
+    this is the matching of the relabelled copy that induced makes, in
+    original ids. A smaller hood is relabelled by induced, so that a hood
+    in a large sparse graph costs its size, not n.
     """
     hood = g.neighbors(v)
     if 2 * len(hood) >= g.n:
         bits = g.bits
         hood_mask = bits[v]
-        rows: list[tuple[int, ...]] = [()] * g.n
+        masks = [0] * g.n
         for u in hood:
-            rows[u] = _members(bits[u] & hood_mask)
-        sub, mapping = Graph._from_rows(tuple(rows)), range(g.n)
+            masks[u] = bits[u] & hood_mask
+        sub, mapping = Graph._from_rows(None, tuple(masks)), range(g.n)
     else:
         sub, mapping = induced(g, hood)
     mm = max_matching(sub)

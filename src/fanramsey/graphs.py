@@ -78,10 +78,12 @@ class Graph:
 
     Immutable after construction. Neighbor queries return sorted tuples so
     every scan over a graph is deterministic; ``bits`` holds the same rows
-    as int masks (bit u of ``bits[v]`` marks the edge uv), built on first use.
-    A graph built from masks alone (a complement, or the red graph of
-    TwoColoring.from_red_edges) decodes a row when it is asked for, and all
-    of them the first time a caller needs them all.
+    as int masks (bit u of ``bits[v]`` marks the edge uv), built on first
+    use, each from its own row. A graph built from masks alone (a
+    complement, the red graph of TwoColoring.from_red_edges, or a dense
+    hood in fans._blossom_fan) decodes a row when it is asked for, and all
+    of them the first time a caller needs them all; max_matching reads its
+    masks and decodes only the rows its searches read.
     """
 
     __slots__ = ("n", "_row_cache", "_bits")
@@ -123,8 +125,7 @@ class Graph:
     @property
     def bits(self) -> tuple[int, ...]:
         if self._bits is None:
-            power = [1 << u for u in range(self.n)].__getitem__
-            self._bits = tuple([sum(map(power, row)) for row in self._sorted])
+            self._bits = tuple(map(_mask, self._sorted))
         return self._bits
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -198,6 +199,19 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 def _selector(mask: int) -> bytes:
     """Byte i is bit i of mask, as 0 or 1: a selector for compress."""
     return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
+def _mask(row: tuple[int, ...]) -> int:
+    """The int mask of an ascending row: bit u set for each id u in it. The
+    cost is the row's largest id, not the order of the graph, so a sparse
+    graph on many vertices builds no table of n shifted bits."""
+    if not row:
+        return 0
+    # the row as binary digits, lowest id first, then read highest first
+    buf = bytearray(b"0") * (row[-1] + 1)
+    for u in row:
+        buf[u] = 49  # ord("1")
+    return int(buf[::-1], 2)
 
 
 def _members(mask: int) -> tuple[int, ...]:

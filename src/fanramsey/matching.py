@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .graphs import BLUE, Graph, TwoColoring, _ids, _int, _isolate, induced
+from .graphs import BLUE, Graph, TwoColoring, _ids, _int, _isolate, _members, induced
 
 
 def _sorted_pairs(pairs: Iterable[tuple[int, int]],
@@ -197,6 +197,21 @@ def _find_augmenting_path(rows: Sequence[tuple[int, ...]], match: list[int],
     return -1
 
 
+class _DecodedRows(dict):
+    """The rows of a graph held as masks alone, each decoded from its mask
+    the first time a search reads it."""
+
+    __slots__ = ("_bits",)
+
+    def __init__(self, bits: Sequence[int]):
+        super().__init__()
+        self._bits = bits
+
+    def __missing__(self, v: int) -> tuple[int, ...]:
+        row = self[v] = _members(self._bits[v])
+        return row
+
+
 def max_matching(g: Graph) -> Matching:
     """Maximum matching in a general graph, deterministic ascending-id scans.
 
@@ -211,18 +226,39 @@ def max_matching(g: Graph) -> Matching:
     call, and later searches skip it: no augmenting path passes through it,
     and exploring it changes no live label (Edmonds 1965), so the searches
     return the same paths and the edges do not depend on the pruning.
+
+    A graph held as masks alone (a complement, or a dense hood from
+    fans._blossom_fan) is matched on its masks and keeps no rows: the
+    greedy pairs v with the lowest set bit of its mask and the free
+    vertices, which is the first free id of its ascending row, and the
+    searches decode a row the first time they read it. The edges are those
+    of the same graph with rows.
     """
-    rows = g._sorted
     n = g.n
     match = [-1] * n
-    for v in range(n):
-        if match[v] == -1:
-            for u in rows[v]:
-                if match[u] == -1:
+    if g._row_cache is None:
+        bits = g._bits
+        free = (1 << n) - 1
+        for v in range(n):
+            if match[v] == -1:
+                cand = bits[v] & free
+                if cand:
+                    u = (cand & -cand).bit_length() - 1
                     match[v] = u
                     match[u] = v
-                    break
-    roots = [v for v in range(n) if match[v] == -1 and rows[v]]
+                    free ^= 1 << v | 1 << u
+        rows = _DecodedRows(bits)
+        roots = [v for v in range(n) if match[v] == -1 and bits[v]]
+    else:
+        rows = g._row_cache
+        for v in range(n):
+            if match[v] == -1:
+                for u in rows[v]:
+                    if match[u] == -1:
+                        match[v] = u
+                        match[u] = v
+                        break
+        roots = [v for v in range(n) if match[v] == -1 and rows[v]]
     left = len(roots)  # exposed vertices with a neighbour, from the root on
     dead = [False] * n  # the Hungarian trees of the failed searches so far
     # search state, allocated once and cleared after each search at the

@@ -457,6 +457,32 @@ def test_main_returns_status_for_every_argv(capsys):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("lines, argv, status, out", [
+    # a triangle among 258,047 vertices: Graph.bits builds each mask
+    # from its own row, with no table of n shifted bits
+    (["0 1", "0 2", "1 2"], ["fan-find", "--k", "1"], 0, "F_1 centered at 0"),
+    # the blue masks of the header alone need about 8 GB: out of memory
+    # is exit 3 with one error line, not a traceback and exit 1
+    ([], ["verify", "--n", "1"], 3, ""),
+], ids=["fan-find-triangle", "verify-header"])
+def test_order_limit_file_under_a_memory_limit(tmp_path, lines, argv, status, out):
+    path = tmp_path / "big.el"
+    path.write_text("".join(f"{line}\n" for line in ["# n=258047", *lines]))
+    src = Path(__file__).resolve().parents[1] / "src"
+    # a 512 MB address-space limit, set in the child alone
+    limit = ("import resource, sys; from fanramsey.cli import main; "
+             "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29)); "
+             "sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", limit, argv[0], str(path), *argv[1:]],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == status, proc.stderr
+    assert out in proc.stdout
+    assert "Traceback" not in proc.stderr
+    if status:
+        assert proc.stderr == "error: out of memory\n"
+
+
 def test_module_entry_point_exit_codes(capsys, tmp_path):
     witness = tmp_path / "w.el"
     assert main(["construct", "star-fan", "--m", "10", "--n", "5",

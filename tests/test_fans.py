@@ -37,7 +37,7 @@ from fanramsey import (
     turan_lower,
     validate_fan_witness,
 )
-from fanramsey import fans
+from fanramsey import fans, matching
 from fanramsey.constructions import conditioned_coloring
 from oracles import (
     blossom_fan_by_relabelling,
@@ -849,7 +849,7 @@ def test_blossom_fan_relabels_only_a_hood_below_half(monkeypatch, size, relabels
     validate_fan_witness(g, w, 2)
 
 
-@pytest.mark.parametrize("n", range(10, 41, 3))
+@pytest.mark.parametrize("n", [*range(10, 41, 3), 100, 200])
 def test_blossom_fan_on_conditioned_hubs(n):
     # the hub 0 has degree 3n in its colour, three quarters of the vertices,
     # and degree 0 in the other; vertices 1 and 2 have hoods near half
@@ -863,3 +863,39 @@ def test_blossom_fan_on_conditioned_hubs(n):
     hub = RED if k.red.degree(0) == 3 * n else BLUE
     assert fans._blossom_fan(k.graph(hub), 0, n) is not None
     assert fans._blossom_fan(k.graph(opposite(hub)), 0, 1) is None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4])
+def test_blossom_fan_decodes_only_the_rows_its_searches_read(monkeypatch, seed):
+    # the hub of K_121 has a hood of 120 vertices, matched on masks: the
+    # greedy reads none of its rows, and each row a search reads is decoded
+    # once, on its first read (seed 1 runs no search, seeds 2 and 4 one)
+    k = conditioned_coloring(random.Random(seed), 40)
+    g = k.graph(RED if k.red.degree(0) == 120 else BLUE)
+    decoded, reads = [], []
+    members = matching._members
+    search = matching._find_augmenting_path
+
+    def decode(mask):
+        decoded.append(mask)
+        return members(mask)
+
+    class Reads:
+        def __init__(self, rows):
+            self.rows = rows
+
+        def __getitem__(self, v):
+            reads.append(v)
+            return self.rows[v]
+
+    def spy(rows, *rest):
+        return search(Reads(rows), *rest)
+
+    monkeypatch.setattr(matching, "_members", decode)
+    monkeypatch.setattr(matching, "_find_augmenting_path", spy)
+    w = fans._blossom_fan(g, 0, 40)
+    hood_mask = g.bits[0]
+    assert decoded == [g.bits[v] & hood_mask for v in dict.fromkeys(reads)]
+    assert len(decoded) < 10
+    monkeypatch.undo()
+    assert w == blossom_fan_by_relabelling(g, 0, 40)

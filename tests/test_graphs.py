@@ -157,6 +157,16 @@ class TestGraph:
                     bit = g.bits[v] >> u & 1 == 1
                     assert bit == g.has_edge(u, v) == (u in g.neighbors(v))
 
+    def test_bits_of_a_sparse_graph_cost_its_rows(self):
+        # each mask is built from its own row, up to the row's largest id:
+        # a table of n shifted bits would take about n^2/16 bytes, some
+        # 4 GB here, and the masks of a few short rows take almost nothing
+        g = Graph(258047, [(0, 1), (1, 2), (0, 2), (5, 258046)])
+        bits = g.bits
+        assert bits[:3] == (0b110, 0b101, 0b011)
+        assert bits[5] == 1 << 258046 and bits[258046] == 1 << 5
+        assert bits.count(0) == 258047 - 5
+
     def test_equality_and_hash_across_constructions(self):
         rng = random.Random(5)
         g = random_graph(rng, 20, 0.3)

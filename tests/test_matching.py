@@ -215,6 +215,30 @@ class TestMaxMatching:
         assert max_matching(Graph(n, edges)).edges == matched
         assert seen == reads
 
+    def test_masks_graph_matches_as_its_rows(self):
+        # a graph on masks alone runs the greedy on its masks and decodes
+        # rows as the searches read them: the edges must be those of the
+        # same graph with rows, and the graph must keep no rows
+        rng = random.Random(26)
+        for _ in range(1500):
+            n = rng.randint(0, 40)
+            ids = rng.sample(range(n), n)
+            # a few vertices stay isolated; odd cycles force blossoms
+            isolated = rng.randint(0, min(n, 5))
+            pool = ids[isolated:]
+            edges = []
+            while len(pool) >= 3 and rng.random() < 0.6:
+                size = rng.choice([3, 5, 7])
+                cycle, pool = pool[:size], pool[size:]
+                edges += list(zip(cycle, cycle[1:] + cycle[:1]))
+            live = ids[isolated:]
+            p = rng.choice([0.0, 0.05, 0.15, 0.4, 0.8])
+            edges += [(u, v) for u, v in itertools.combinations(live, 2) if rng.random() < p]
+            g = Graph(n, edges)
+            masks = Graph._from_rows(None, g.bits)
+            assert max_matching(masks).edges == max_matching(g).edges
+            assert masks._row_cache is None
+
     def test_against_networkx(self):
         nx = pytest.importorskip("networkx")
         rng = random.Random(7)
