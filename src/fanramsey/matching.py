@@ -43,6 +43,11 @@ class Matching:
         object.__setattr__(m, "edges", edges)
         return m
 
+    @classmethod
+    def _from_mates(cls, match: Sequence[int]) -> "Matching":
+        """Matching of a mate list: match[v] is v's mate, or -1."""
+        return cls._from_pairs(tuple([(v, u) for v, u in enumerate(match) if u > v]))
+
     @property
     def size(self) -> int:
         return len(self.edges)
@@ -212,7 +217,7 @@ class _DecodedRows(dict):
         return row
 
 
-def max_matching(g: Graph) -> Matching:
+def max_matching(g: Graph, *, _mates: list[int] | None = None) -> Matching:
     """Maximum matching in a general graph, deterministic ascending-id scans.
 
     A greedy pass matches each vertex to its first free neighbour; then an
@@ -225,7 +230,9 @@ def max_matching(g: Graph) -> Matching:
     Each failed search leaves its Hungarian tree dead for the rest of the
     call, and later searches skip it: no augmenting path passes through it,
     and exploring it changes no live label (Edmonds 1965), so the searches
-    return the same paths and the edges do not depend on the pruning.
+    return the same paths and the edges do not depend on the pruning. With
+    fewer than two exposed vertices that have a neighbour no search can
+    succeed, and the call returns before it allocates the search state.
 
     A graph held as masks alone (a complement, or a dense hood from
     fans._blossom_fan) is matched on its masks and keeps no rows: the
@@ -233,10 +240,17 @@ def max_matching(g: Graph) -> Matching:
     vertices, which is the first free id of its ascending row, and the
     searches decode a row the first time they read it. The edges are those
     of the same graph with rows.
+
+    ``_mates``, internal to edmonds_gallai and unchecked, replaces the
+    greedy pass: a fresh mate list of a matching of g (v's mate or -1),
+    which the call changes. The argument above holds from any start, so
+    the result is maximum, though its edges may differ from the greedy's.
     """
     n = g.n
-    match = [-1] * n
-    if g._row_cache is None:
+    masks = g._row_cache is None
+    rows = _DecodedRows(g._bits) if masks else g._row_cache
+    match = [-1] * n if _mates is None else _mates
+    if _mates is None and masks:
         bits = g._bits
         free = (1 << n) - 1
         for v in range(n):
@@ -247,10 +261,7 @@ def max_matching(g: Graph) -> Matching:
                     match[v] = u
                     match[u] = v
                     free ^= 1 << v | 1 << u
-        rows = _DecodedRows(bits)
-        roots = [v for v in range(n) if match[v] == -1 and bits[v]]
-    else:
-        rows = g._row_cache
+    elif _mates is None:
         for v in range(n):
             if match[v] == -1:
                 for u in rows[v]:
@@ -258,7 +269,11 @@ def max_matching(g: Graph) -> Matching:
                         match[v] = u
                         match[u] = v
                         break
-        roots = [v for v in range(n) if match[v] == -1 and rows[v]]
+    # a mask is nonzero exactly when the row is non-empty
+    adjacent = g._bits if masks else rows
+    roots = [v for v in range(n) if match[v] == -1 and adjacent[v]]
+    if len(roots) < 2:  # the loop below would break at once
+        return Matching._from_mates(match)
     left = len(roots)  # exposed vertices with a neighbour, from the root on
     dead = [False] * n  # the Hungarian trees of the failed searches so far
     # search state, allocated once and cleared after each search at the
@@ -291,7 +306,7 @@ def max_matching(g: Graph) -> Matching:
             parent[x] = -1
         queue.clear()
         odd.clear()
-    return Matching._from_pairs(tuple([(v, match[v]) for v in range(n) if match[v] > v]))
+    return Matching._from_mates(match)
 
 
 def matching_number(g: Graph) -> int:
@@ -331,10 +346,26 @@ def edmonds_gallai(g: Graph) -> EGPartition:
     nu(G - v) = nu(G); A = N(D) - D; C is the rest. The odd components
     D_1..D_p are the components of G[D]: every neighbour of a D vertex lies
     in D or A, so they are also the components of G - A that meet D.
+
+    G - v is matched as g with v's edges removed, from the first maximum
+    matching M less v's edge: nu(G - v) is nu - 1 or nu, and that start has
+    size nu - 1 or more (Edmonds 1965; Lovasz and Plummer 1986). Only sizes
+    are read, and a maximum matching's size does not depend on the start,
+    so neither do D, A and C.
     """
-    nu = max_matching(g).size
-    # G - v is matched as g with v isolated, which has the same matchings
-    d_set = {v for v in range(g.n) if max_matching(_isolate(g, v)).size == nu}
+    m = max_matching(g)
+    nu = m.size
+    mates = [-1] * g.n
+    for u, w in m.edges:
+        mates[u], mates[w] = w, u
+
+    def nu_without(v: int) -> int:
+        start = mates.copy()
+        if start[v] != -1:  # clears the mate first, while start[v] names it
+            start[start[v]] = start[v] = -1
+        return max_matching(_isolate(g, v), _mates=start).size
+
+    d_set = {v for v in range(g.n) if nu_without(v) == nu}
     a_set = frozenset(u for v in d_set for u in g.neighbors(v)) - d_set
     d_comps = tuple(_components(g, d_set))
     return EGPartition(

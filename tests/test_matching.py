@@ -40,6 +40,37 @@ def all_graphs(n):
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
+def structured_graph(rng, max_n=40):
+    """Up to max_n vertices, ids shuffled: a few isolated vertices, disjoint
+    3-, 5- and 7-cycles that force blossoms, stars, and random edges."""
+    n = rng.randint(0, max_n)
+    ids = rng.sample(range(n), n)
+    isolated = rng.randint(0, min(n, 5))
+    pool = ids[isolated:]
+    edges = []
+    while len(pool) >= 3 and rng.random() < 0.6:
+        size = rng.choice([3, 5, 7])
+        cycle, pool = pool[:size], pool[size:]
+        edges += list(zip(cycle, cycle[1:] + cycle[:1]))
+    while len(pool) >= 2 and rng.random() < 0.3:
+        size = rng.randint(2, 6)
+        star, pool = pool[:size], pool[size:]
+        edges += [(star[0], leaf) for leaf in star[1:]]
+    live = ids[isolated:]
+    p = rng.choice([0.0, 0.05, 0.15, 0.4, 0.8])
+    edges += [(u, v) for u, v in itertools.combinations(live, 2) if rng.random() < p]
+    return Graph(n, edges)
+
+
+def mates_without(g, v):
+    """The mate list of max_matching(g) with v's edge removed."""
+    mates = [-1] * g.n
+    for a, b in max_matching(g).edges:
+        if v not in (a, b):
+            mates[a], mates[b] = b, a
+    return mates
+
+
 def check_eg(g):
     """Assert the decomposition against every maximum matching of g.
 
@@ -221,23 +252,50 @@ class TestMaxMatching:
         # same graph with rows, and the graph must keep no rows
         rng = random.Random(26)
         for _ in range(1500):
-            n = rng.randint(0, 40)
-            ids = rng.sample(range(n), n)
-            # a few vertices stay isolated; odd cycles force blossoms
-            isolated = rng.randint(0, min(n, 5))
-            pool = ids[isolated:]
-            edges = []
-            while len(pool) >= 3 and rng.random() < 0.6:
-                size = rng.choice([3, 5, 7])
-                cycle, pool = pool[:size], pool[size:]
-                edges += list(zip(cycle, cycle[1:] + cycle[:1]))
-            live = ids[isolated:]
-            p = rng.choice([0.0, 0.05, 0.15, 0.4, 0.8])
-            edges += [(u, v) for u, v in itertools.combinations(live, 2) if rng.random() < p]
-            g = Graph(n, edges)
+            g = structured_graph(rng)
             masks = Graph._from_rows(None, g.bits)
             assert max_matching(masks).edges == max_matching(g).edges
             assert masks._row_cache is None
+
+    def test_warm_start_from_m_without_the_edge_at_v(self):
+        # edmonds_gallai matches each G - v from its first maximum matching
+        # less v's edge: for every v the result must be a matching of G - v
+        # of the cold call's size, and of the oracle's where it is feasible
+        rng = random.Random(27)
+        for _ in range(300):
+            g = structured_graph(rng)
+            for v in range(g.n):
+                h = _isolate(g, v)
+                warm = max_matching(h, _mates=mates_without(g, v))
+                warm.validate(h)
+                assert v not in warm.vertices()
+                assert warm.size == max_matching(h).size
+                if g.n <= 14:
+                    assert warm.size == brute_matching(h).size
+
+    @pytest.mark.parametrize("n, edges, start, matched", [
+        # the path 0-1-2: greedy matches 0-1 and leaves one exposed vertex
+        (3, [(0, 1), (1, 2)], None, ((0, 1),)),
+        # a perfect matching leaves none
+        (4, [(0, 1), (1, 2), (2, 3), (0, 3)], None, ((0, 1), (2, 3))),
+        # the path without 2's edges, started from M: no exposed vertex
+        # has a neighbour
+        (3, [(0, 1)], [1, 0, -1], ((0, 1),)),
+        # the 4-cycle without 3's edges, started from M less 2-3: only 2
+        (4, [(0, 1), (1, 2)], [1, 0, -1, -1], ((0, 1),)),
+        # an edgeless graph
+        (5, [], None, ()),
+    ])
+    def test_no_search_below_two_exposed_vertices(self, monkeypatch, n, edges, start,
+                                                  matched):
+        # fewer than two exposed vertices with a neighbour: the matching is
+        # maximum as it stands, and the call returns without a search
+        def no_search(*args):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(matching, "_find_augmenting_path", no_search)
+        m = max_matching(Graph(n, edges), _mates=start)
+        assert m.edges == matched
 
     def test_against_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -486,7 +544,8 @@ def graph_and_vertex(draw):
 @given(graph_and_vertex())
 @settings(max_examples=300, deadline=None)
 def test_isolated_vertex_graph_is_g_minus_v(case):
-    """edmonds_gallai matches G - v as g with v's edges removed."""
+    """edmonds_gallai matches G - v as g with v's edges removed, warm-started
+    from M less v's edge."""
     g, v = case
     h = _isolate(g, v)
     validate_graph(h)
@@ -498,6 +557,10 @@ def test_isolated_vertex_graph_is_g_minus_v(case):
     m.validate(h)
     assert m.size == brute_matching(sub).size
     assert m.edges == Matching((ids[a], ids[b]) for a, b in max_matching(sub).edges).edges
+    # and from the first maximum matching less v's edge, as edmonds_gallai does
+    warm = max_matching(h, _mates=mates_without(g, v))
+    warm.validate(h)
+    assert warm.size == m.size
 
 
 @st.composite
