@@ -5,8 +5,8 @@ Each mode is a subcommand (`realize pair|interval`, `fan-find`, `fan-trials`)
 whose flags argparse checks, so a usage error exits 2 before a handler runs.
 
 Exit codes: 0 success / claims hold, 1 claims fail or verification failure,
-2 usage or unsupported parameter range, 3 unreadable or malformed input,
-or an input too large for memory.
+2 usage or unsupported parameter range, 3 an I/O error (unreadable input or
+a closed output) or malformed input, or an input too large for memory.
 Reports are line-oriented by default; --json switches to structured JSON.
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -32,11 +33,9 @@ DEFAULT_SEED = 2024
 
 
 def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    # flushed, so that a closed output raises inside main's handler
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else "\n".join(lines),
+          flush=True)
 
 
 def _report_lines(report) -> list[str]:
@@ -288,6 +287,11 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # a closed output, as when piped into head: what is still buffered
+        # goes to devnull, so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
     except (ParseError, OSError) as exc:
         error, status = exc, 3
     except MemoryError:

@@ -254,20 +254,6 @@ def induced(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     return Graph._from_rows(rows), tuple(keep)
 
 
-def _isolate(g: Graph, v: int) -> Graph:
-    """g with the edges at v removed: the same ids, v isolated.
-
-    Only v's row and its neighbours' rows are copied; the rest are shared.
-    """
-    rows = list(g._sorted)
-    for u in rows[v]:
-        row = rows[u]
-        i = bisect_left(row, v)
-        rows[u] = row[:i] + row[i + 1:]
-    rows[v] = ()
-    return Graph._from_rows(tuple(rows))
-
-
 @dataclass(frozen=True)
 class MultipartiteSpec:
     """Part sizes of a complete multipartite graph, kept sorted ascending."""

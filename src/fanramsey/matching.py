@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .graphs import BLUE, Graph, TwoColoring, _ids, _int, _isolate, _members, induced
+from .graphs import BLUE, Graph, TwoColoring, _ids, _int, _members, induced
 
 
 def _sorted_pairs(pairs: Iterable[tuple[int, int]],
@@ -37,16 +37,12 @@ class Matching:
         object.__setattr__(self, "edges", _sorted_pairs(edges, "matching"))
 
     @classmethod
-    def _from_pairs(cls, edges: tuple[tuple[int, int], ...]) -> "Matching":
-        """Matching on pairs that are already (u, v) with u < v, sorted."""
-        m = cls.__new__(cls)
-        object.__setattr__(m, "edges", edges)
-        return m
-
-    @classmethod
     def _from_mates(cls, match: Sequence[int]) -> "Matching":
-        """Matching of a mate list: match[v] is v's mate, or -1."""
-        return cls._from_pairs(tuple([(v, u) for v, u in enumerate(match) if u > v]))
+        """Matching of a mate list: match[v] is v's mate, or -1. Its pairs
+        (v, u) with v < u, in ascending v, are normalized and sorted already."""
+        m = cls.__new__(cls)
+        object.__setattr__(m, "edges", tuple([(v, u) for v, u in enumerate(match) if u > v]))
+        return m
 
     @property
     def size(self) -> int:
@@ -217,7 +213,8 @@ class _DecodedRows(dict):
         return row
 
 
-def max_matching(g: Graph, *, _mates: list[int] | None = None) -> Matching:
+def max_matching(g: Graph, *,
+                 _without: tuple[Matching, list[int], int] | None = None) -> Matching:
     """Maximum matching in a general graph, deterministic ascending-id scans.
 
     A greedy pass matches each vertex to its first free neighbour; then an
@@ -232,7 +229,7 @@ def max_matching(g: Graph, *, _mates: list[int] | None = None) -> Matching:
     and exploring it changes no live label (Edmonds 1965), so the searches
     return the same paths and the edges do not depend on the pruning. With
     fewer than two exposed vertices that have a neighbour no search can
-    succeed, and the call returns before it allocates the search state.
+    succeed, and the call returns without one.
 
     A graph held as masks alone (a complement, or a dense hood from
     fans._blossom_fan) is matched on its masks and keeps no rows: the
@@ -241,41 +238,63 @@ def max_matching(g: Graph, *, _mates: list[int] | None = None) -> Matching:
     searches decode a row the first time they read it. The edges are those
     of the same graph with rows.
 
-    ``_mates``, internal to edmonds_gallai and unchecked, replaces the
-    greedy pass: a fresh mate list of a matching of g (v's mate or -1),
-    which the call changes. The argument above holds from any start, so
-    the result is maximum, though its edges may differ from the greedy's.
+    ``_without``, internal to edmonds_gallai and unchecked, is (M, mates,
+    v): a maximum matching M of g, its mate list (mates[x] is x's mate or
+    -1; the call leaves it unchanged) and a vertex v. The call returns a
+    maximum matching of G - v, the same ids with v's edges removed. If M
+    misses v, M is a matching of G - v and nu(G - v) <= nu(G), so M itself
+    is returned. If M matches v to u, an augmenting path for M - uv in
+    G - v ends at u, since one that avoided u and v would augment M in G
+    (Edmonds 1965; Lovasz and Plummer, Matching Theory, 1986). So one
+    search from u on g's rows, with v dead so that it is skipped as if it
+    had no edges, decides nu(G - v); none runs when no vertex M misses has
+    a neighbour besides v.
     """
     n = g.n
     masks = g._row_cache is None
     rows = _DecodedRows(g._bits) if masks else g._row_cache
-    match = [-1] * n if _mates is None else _mates
-    if _mates is None and masks:
-        bits = g._bits
-        free = (1 << n) - 1
-        for v in range(n):
-            if match[v] == -1:
-                cand = bits[v] & free
-                if cand:
-                    u = (cand & -cand).bit_length() - 1
-                    match[v] = u
-                    match[u] = v
-                    free ^= 1 << v | 1 << u
-    elif _mates is None:
-        for v in range(n):
-            if match[v] == -1:
-                for u in rows[v]:
-                    if match[u] == -1:
-                        match[v] = u
-                        match[u] = v
-                        break
     # a mask is nonzero exactly when the row is non-empty
     adjacent = g._bits if masks else rows
-    roots = [v for v in range(n) if match[v] == -1 and adjacent[v]]
-    if len(roots) < 2:  # the loop below would break at once
+    if _without is not None:
+        m, mates, v = _without
+        u = mates[v]
+        if u == -1:
+            return m
+        bare = (0, 1 << v) if masks else ((), (v,))  # rows with no neighbour but v
+        match = mates.copy()
+        match[u] = match[v] = -1
+        dead = [False] * n  # the Hungarian trees of the failed searches so far
+        dead[v] = True  # and v, which the searches skip as if it had no edges
+        # every augmenting path ends at u, so one search from u decides; it
+        # needs a vertex M misses with a neighbour at the other end
+        roots, left = [u], 1 + (-1 in mates and any(adjacent[x] not in bare
+                                                     for x, y in enumerate(mates) if y == -1))
+    else:
+        match = [-1] * n
+        dead = [False] * n
+        if masks:
+            bits = g._bits
+            free = (1 << n) - 1
+            for v in range(n):
+                if match[v] == -1:
+                    cand = bits[v] & free
+                    if cand:
+                        u = (cand & -cand).bit_length() - 1
+                        match[v] = u
+                        match[u] = v
+                        free ^= 1 << v | 1 << u
+        else:
+            for v in range(n):
+                if match[v] == -1:
+                    for u in rows[v]:
+                        if match[u] == -1:
+                            match[v] = u
+                            match[u] = v
+                            break
+        roots = [v for v in range(n) if match[v] == -1 and adjacent[v]]
+        left = len(roots)  # exposed vertices with a neighbour, from the root on
+    if left < 2:  # the loop below would break at once
         return Matching._from_mates(match)
-    left = len(roots)  # exposed vertices with a neighbour, from the root on
-    dead = [False] * n  # the Hungarian trees of the failed searches so far
     # search state, allocated once and cleared after each search at the
     # vertices the search touched
     used = [False] * n
@@ -347,25 +366,21 @@ def edmonds_gallai(g: Graph) -> EGPartition:
     D_1..D_p are the components of G[D]: every neighbour of a D vertex lies
     in D or A, so they are also the components of G - A that meet D.
 
-    G - v is matched as g with v's edges removed, from the first maximum
-    matching M less v's edge: nu(G - v) is nu - 1 or nu, and that start has
-    size nu - 1 or more (Edmonds 1965; Lovasz and Plummer 1986). Only sizes
-    are read, and a maximum matching's size does not depend on the start,
-    so neither do D, A and C.
+    Each G - v is matched from the first maximum matching M, through
+    max_matching's private ``_without``. If M misses v, M is maximum in
+    G - v, and v is in D. If M matches v to u, an augmenting path for
+    M - uv in G - v ends at u, since one that avoided u and v would augment
+    M in G (Edmonds 1965; Lovasz and Plummer, Matching Theory, 1986), so
+    one search from u decides nu(G - v). Only sizes are read, and a maximum
+    matching's size does not depend on where the search starts, so neither
+    do D, A and C.
     """
     m = max_matching(g)
     nu = m.size
     mates = [-1] * g.n
     for u, w in m.edges:
         mates[u], mates[w] = w, u
-
-    def nu_without(v: int) -> int:
-        start = mates.copy()
-        if start[v] != -1:  # clears the mate first, while start[v] names it
-            start[start[v]] = start[v] = -1
-        return max_matching(_isolate(g, v), _mates=start).size
-
-    d_set = {v for v in range(g.n) if nu_without(v) == nu}
+    d_set = {v for v in range(g.n) if max_matching(g, _without=(m, mates, v)).size == nu}
     a_set = frozenset(u for v in d_set for u in g.neighbors(v)) - d_set
     d_comps = tuple(_components(g, d_set))
     return EGPartition(

@@ -4,6 +4,7 @@ Each one is small, slow and obviously correct, and the exhaustive ones
 refuse instances past their vertex guard. The library never calls them.
 """
 
+from bisect import bisect_left
 from collections.abc import Iterator
 from functools import lru_cache
 
@@ -40,6 +41,23 @@ def validate_graph(g: Graph) -> None:
                 raise AssertionError(f"self-loop at {v}")
             if v not in g.neighbor_set(u):
                 raise AssertionError(f"asymmetric edge ({v}, {u})")
+
+
+def _isolate(g: Graph, v: int) -> Graph:
+    """g with the edges at v removed: the same ids, v isolated. Its cold
+    matching, max_matching(_isolate(g, v)), is the reference for the
+    G - v that edmonds_gallai matches from M.
+
+    Only v's row and its neighbours' rows are copied; the rest are shared.
+    A graph on masks alone gains its rows.
+    """
+    rows = list(g._sorted)
+    for u in rows[v]:
+        row = rows[u]
+        i = bisect_left(row, v)
+        rows[u] = row[:i] + row[i + 1:]
+    rows[v] = ()
+    return Graph._from_rows(tuple(rows))
 
 
 def brute_matching(g: Graph) -> Matching:

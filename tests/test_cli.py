@@ -483,6 +483,45 @@ def test_order_limit_file_under_a_memory_limit(tmp_path, lines, argv, status, ou
         assert proc.stderr == "error: out of memory\n"
 
 
+@pytest.mark.parametrize("lines, first", [
+    ([], "nu = 0, deficiency = 258047, p = 258047"),
+    (["0 1", "0 2", "1 2"], "nu = 1, deficiency = 258045, p = 258045"),
+], ids=["header", "triangle"])
+def test_decompose_order_limit_file_under_a_memory_limit(tmp_path, lines, first):
+    # edmonds_gallai hands each G - v the first maximum matching: a vertex
+    # it misses costs no search and no copy, so the header alone decomposes
+    # in about a second, where one O(n) matching per vertex took hours
+    path = tmp_path / "big.el"
+    path.write_text("".join(f"{line}\n" for line in ["# n=258047", *lines]))
+    src = Path(__file__).resolve().parents[1] / "src"
+    # a 2 GB address-space limit, set in the child alone
+    limit = ("import resource, sys; from fanramsey.cli import main; "
+             "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+             "sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", limit, "decompose", str(path)],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == first
+    assert proc.stderr == ""
+
+
+def test_closed_output_exits_3_without_an_error_line(tmp_path):
+    # about 300 KB of output, more than a pipe holds, so the child is still
+    # writing when the reader closes the pipe after one line
+    path = tmp_path / "header.el"
+    path.write_text("# n=20000\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    with subprocess.Popen([sys.executable, "-m", "fanramsey.cli", "decompose", str(path)],
+                          env=dict(os.environ, PYTHONPATH=str(src)), text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == "nu = 0, deficiency = 20000, p = 20000\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 3
+    assert err == ""
+
+
 def test_module_entry_point_exit_codes(capsys, tmp_path):
     witness = tmp_path / "w.el"
     assert main(["construct", "star-fan", "--m", "10", "--n", "5",

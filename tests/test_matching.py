@@ -23,10 +23,9 @@ from fanramsey import (
     star_fan_lower_special,
 )
 from fanramsey import matching
-from fanramsey.graphs import _isolate
 from fanramsey.matching import EGPartition
-from oracles import (brute_matching, cross_color_by_pairs, enumerate_maximum_matchings,
-                     konig_cover_from, validate_graph)
+from oracles import (_isolate, brute_matching, cross_color_by_pairs,
+                     enumerate_maximum_matchings, konig_cover_from, validate_graph)
 
 
 def random_graph(rng, n, p=0.5):
@@ -62,13 +61,18 @@ def structured_graph(rng, max_n=40):
     return Graph(n, edges)
 
 
-def mates_without(g, v):
-    """The mate list of max_matching(g) with v's edge removed."""
+def first_matching(g):
+    """max_matching(g) and its mate list, as edmonds_gallai hands them on."""
+    m = max_matching(g)
     mates = [-1] * g.n
-    for a, b in max_matching(g).edges:
-        if v not in (a, b):
-            mates[a], mates[b] = b, a
-    return mates
+    for a, b in m.edges:
+        mates[a], mates[b] = b, a
+    return m, mates
+
+
+def both_forms(g):
+    """g with rows and the same graph on masks alone."""
+    return g, Graph._from_rows(None, g.bits)
 
 
 def check_eg(g):
@@ -259,43 +263,102 @@ class TestMaxMatching:
 
     def test_warm_start_from_m_without_the_edge_at_v(self):
         # edmonds_gallai matches each G - v from its first maximum matching
-        # less v's edge: for every v the result must be a matching of G - v
-        # of the cold call's size, and of the oracle's where it is feasible
+        # M: for every v, in both forms, the result must be a matching of
+        # G - v that misses v, of the cold call's size, and of the oracle's
+        # where it is feasible; the masks graph must keep no rows
         rng = random.Random(27)
         for _ in range(300):
             g = structured_graph(rng)
-            for v in range(g.n):
-                h = _isolate(g, v)
-                warm = max_matching(h, _mates=mates_without(g, v))
-                warm.validate(h)
-                assert v not in warm.vertices()
-                assert warm.size == max_matching(h).size
-                if g.n <= 14:
-                    assert warm.size == brute_matching(h).size
+            for form in both_forms(g):
+                m, mates = first_matching(form)
+                for v in range(g.n):
+                    h = _isolate(g, v)
+                    warm = max_matching(form, _without=(m, mates, v))
+                    warm.validate(h)
+                    assert v not in warm.vertices()
+                    assert warm.size == max_matching(h).size
+                    if g.n <= 14:
+                        assert warm.size == brute_matching(h).size
+                assert form._row_cache is None or form is g
 
-    @pytest.mark.parametrize("n, edges, start, matched", [
+    def test_vertex_m_misses_returns_m_itself(self, monkeypatch):
+        # M misses v: M is a maximum matching of G - v, handed back as it
+        # is, with no search
+        def no_search(*args):
+            raise AssertionError("a search ran")
+
+        rng = random.Random(28)
+        missed = 0
+        for _ in range(300):
+            for form in both_forms(structured_graph(rng)):
+                m, mates = first_matching(form)
+                with monkeypatch.context() as patch:
+                    patch.setattr(matching, "_find_augmenting_path", no_search)
+                    for v in range(form.n):
+                        if mates[v] == -1:
+                            assert max_matching(form, _without=(m, mates, v)) is m
+                            missed += 1
+        assert missed > 1000
+
+    def test_one_search_from_the_former_mate(self, monkeypatch):
+        # M matches v to u: one search runs, rooted at u with v alone dead,
+        # when a vertex M misses has a neighbour in G - v, and none
+        # otherwise; the mate list is left as it was
+        log = []
+        search = matching._find_augmenting_path
+
+        def spy(rows, match, parent, root, dead, *rest):
+            log.append((root, [x for x, d in enumerate(dead) if d]))
+            return search(rows, match, parent, root, dead, *rest)
+
+        monkeypatch.setattr(matching, "_find_augmenting_path", spy)
+        rng = random.Random(29)
+        counts = {0: 0, 1: 0}
+        for _ in range(300):
+            g = structured_graph(rng)
+            for form in both_forms(g):
+                m, mates = first_matching(form)
+                given = mates.copy()
+                for v in range(g.n):
+                    u = mates[v]
+                    if u == -1:
+                        continue
+                    h = _isolate(g, v)
+                    searched = any(mates[x] == -1 and h.neighbors(x) for x in range(g.n))
+                    log.clear()
+                    max_matching(form, _without=(m, mates, v))
+                    assert log == ([(u, [v])] if searched else [])
+                    counts[len(log)] += 1
+                assert mates == given
+        assert min(counts.values()) > 1000
+
+    @pytest.mark.parametrize("n, edges, v, matched", [
         # the path 0-1-2: greedy matches 0-1 and leaves one exposed vertex
         (3, [(0, 1), (1, 2)], None, ((0, 1),)),
         # a perfect matching leaves none
         (4, [(0, 1), (1, 2), (2, 3), (0, 3)], None, ((0, 1), (2, 3))),
-        # the path without 2's edges, started from M: no exposed vertex
-        # has a neighbour
-        (3, [(0, 1)], [1, 0, -1], ((0, 1),)),
-        # the 4-cycle without 3's edges, started from M less 2-3: only 2
-        (4, [(0, 1), (1, 2)], [1, 0, -1, -1], ((0, 1),)),
+        # the path less 2, from M = {0-1}: M misses 2
+        (3, [(0, 1), (1, 2)], 2, ((0, 1),)),
+        # the 4-cycle less 3, from M less 2-3: M misses no vertex
+        (4, [(0, 1), (1, 2), (2, 3), (0, 3)], 3, ((0, 1),)),
         # an edgeless graph
         (5, [], None, ()),
+        # the path less 1, from M less 0-1: 2, which M misses, has no
+        # neighbour but 1
+        (3, [(0, 1), (1, 2)], 1, ()),
     ])
-    def test_no_search_below_two_exposed_vertices(self, monkeypatch, n, edges, start,
+    def test_no_search_below_two_exposed_vertices(self, monkeypatch, n, edges, v,
                                                   matched):
         # fewer than two exposed vertices with a neighbour: the matching is
         # maximum as it stands, and the call returns without a search
         def no_search(*args):
             raise AssertionError("a search ran")
 
-        monkeypatch.setattr(matching, "_find_augmenting_path", no_search)
-        m = max_matching(Graph(n, edges), _mates=start)
-        assert m.edges == matched
+        for g in both_forms(Graph(n, edges)):
+            start = None if v is None else (*first_matching(g), v)
+            with monkeypatch.context() as patch:
+                patch.setattr(matching, "_find_augmenting_path", no_search)
+                assert max_matching(g, _without=start).edges == matched
 
     def test_against_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -544,8 +607,8 @@ def graph_and_vertex(draw):
 @given(graph_and_vertex())
 @settings(max_examples=300, deadline=None)
 def test_isolated_vertex_graph_is_g_minus_v(case):
-    """edmonds_gallai matches G - v as g with v's edges removed, warm-started
-    from M less v's edge."""
+    """edmonds_gallai matches G - v as g with v's edges removed, from the
+    first maximum matching M of g."""
     g, v = case
     h = _isolate(g, v)
     validate_graph(h)
@@ -557,9 +620,10 @@ def test_isolated_vertex_graph_is_g_minus_v(case):
     m.validate(h)
     assert m.size == brute_matching(sub).size
     assert m.edges == Matching((ids[a], ids[b]) for a, b in max_matching(sub).edges).edges
-    # and from the first maximum matching less v's edge, as edmonds_gallai does
-    warm = max_matching(h, _mates=mates_without(g, v))
+    # and from the first maximum matching M, as edmonds_gallai does
+    warm = max_matching(g, _without=(*first_matching(g), v))
     warm.validate(h)
+    assert v not in warm.vertices()
     assert warm.size == m.size
 
 
