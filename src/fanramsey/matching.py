@@ -7,6 +7,7 @@ exhaustive oracles kept in tests/oracles.py.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -42,6 +43,14 @@ class Matching:
         (v, u) with v < u, in ascending v, are normalized and sorted already."""
         m = cls.__new__(cls)
         object.__setattr__(m, "edges", tuple([(v, u) for v, u in enumerate(match) if u > v]))
+        return m
+
+    def _less(self, u: int, v: int) -> "Matching":
+        """This matching without its edge uv: the edge is found by bisection
+        in the sorted edges and sliced out, so the pairs stay sorted."""
+        i = bisect_left(self.edges, (u, v) if u < v else (v, u))
+        m = Matching.__new__(Matching)
+        object.__setattr__(m, "edges", self.edges[:i] + self.edges[i + 1:])
         return m
 
     @property
@@ -214,7 +223,8 @@ class _DecodedRows(dict):
 
 
 def max_matching(g: Graph, *,
-                 _without: tuple[Matching, list[int], int] | None = None) -> Matching:
+                 _without: tuple[Matching, list[int], set[int], int] | None = None
+                 ) -> Matching:
     """Maximum matching in a general graph, deterministic ascending-id scans.
 
     A greedy pass matches each vertex to its first free neighbour; then an
@@ -239,36 +249,42 @@ def max_matching(g: Graph, *,
     of the same graph with rows.
 
     ``_without``, internal to edmonds_gallai and unchecked, is (M, mates,
-    v): a maximum matching M of g, its mate list (mates[x] is x's mate or
-    -1; the call leaves it unchanged) and a vertex v. The call returns a
+    hubs, v): a maximum matching M of g, its mate list (mates[x] is x's
+    mate or -1), hubs, the set of the neighbours of the vertices M misses,
+    and a vertex v; the call leaves mates and hubs unchanged. It returns a
     maximum matching of G - v, the same ids with v's edges removed. If M
     misses v, M is a matching of G - v and nu(G - v) <= nu(G), so M itself
     is returned. If M matches v to u, an augmenting path for M - uv in
     G - v ends at u, since one that avoided u and v would augment M in G
-    (Edmonds 1965; Lovasz and Plummer, Matching Theory, 1986). So one
-    search from u on g's rows, with v dead so that it is skipped as if it
-    had no edges, decides nu(G - v); none runs when no vertex M misses has
-    a neighbour besides v.
+    (Edmonds 1965; Lovasz and Plummer, Matching Theory, 1986), and at its
+    other end is a vertex M misses, with a neighbour besides v. So no
+    search runs when hubs holds no vertex but v, and otherwise one search
+    from u on g's rows, with v dead so that it is skipped as if it had no
+    edges, decides nu(G - v). With no search, or a failed one, the result
+    is M less uv, sliced out of M's sorted edges; only a successful search
+    builds its result from a copy of the mate list. The slice is still a
+    C-level copy of M's edge tuple, and a search still allocates the
+    n-entry search lists, so each matched v costs O(n) below the Python
+    level, and O(n) Python work when its search runs.
     """
-    n = g.n
-    masks = g._row_cache is None
-    rows = _DecodedRows(g._bits) if masks else g._row_cache
-    # a mask is nonzero exactly when the row is non-empty
-    adjacent = g._bits if masks else rows
     if _without is not None:
-        m, mates, v = _without
+        m, mates, hubs, v = _without
         u = mates[v]
         if u == -1:
             return m
-        bare = (0, 1 << v) if masks else ((), (v,))  # rows with no neighbour but v
+        if len(hubs) == (v in hubs):  # no vertex M misses has a neighbour but v
+            return m._less(u, v)
+    n = g.n
+    masks = g._row_cache is None
+    rows = _DecodedRows(g._bits) if masks else g._row_cache
+    if _without is not None:
         match = mates.copy()
         match[u] = match[v] = -1
         dead = [False] * n  # the Hungarian trees of the failed searches so far
         dead[v] = True  # and v, which the searches skip as if it had no edges
-        # every augmenting path ends at u, so one search from u decides; it
-        # needs a vertex M misses with a neighbour at the other end
-        roots, left = [u], 1 + (-1 in mates and any(adjacent[x] not in bare
-                                                     for x, y in enumerate(mates) if y == -1))
+        # every augmenting path ends at u, so one search from u decides;
+        # the count is u and the vertex M misses at the path's other end
+        roots, left = [u], 2
     else:
         match = [-1] * n
         dead = [False] * n
@@ -291,6 +307,8 @@ def max_matching(g: Graph, *,
                             match[v] = u
                             match[u] = v
                             break
+        # a mask is nonzero exactly when the row is non-empty
+        adjacent = g._bits if masks else rows
         roots = [v for v in range(n) if match[v] == -1 and adjacent[v]]
         left = len(roots)  # exposed vertices with a neighbour, from the root on
     if left < 2:  # the loop below would break at once
@@ -302,13 +320,13 @@ def max_matching(g: Graph, *,
     base = list(range(n))
     queue: list[int] = []
     odd: list[int] = []
-    for v in roots:
-        if match[v] != -1:
+    for root in roots:
+        if match[root] != -1:
             continue
         left -= 1
         if left == 0:
             break
-        end = _find_augmenting_path(rows, match, parent, v, dead, used, base, queue, odd)
+        end = _find_augmenting_path(rows, match, parent, root, dead, used, base, queue, odd)
         if end != -1:
             left -= 1
         while end != -1:
@@ -325,6 +343,8 @@ def max_matching(g: Graph, *,
             parent[x] = -1
         queue.clear()
         odd.clear()
+    if _without is not None and match[u] == -1:  # the search from u failed
+        return m._less(u, v)
     return Matching._from_mates(match)
 
 
@@ -371,16 +391,21 @@ def edmonds_gallai(g: Graph) -> EGPartition:
     G - v, and v is in D. If M matches v to u, an augmenting path for
     M - uv in G - v ends at u, since one that avoided u and v would augment
     M in G (Edmonds 1965; Lovasz and Plummer, Matching Theory, 1986), so
-    one search from u decides nu(G - v). Only sizes are read, and a maximum
-    matching's size does not depend on where the search starts, so neither
-    do D, A and C.
+    one search from u decides nu(G - v). Its other end is a vertex M
+    misses, so hubs, the neighbours of those vertices, is built once here:
+    no search runs for a v when hubs holds no vertex but v, and such a
+    G - v, or one whose search fails, gets M less uv as a slice of M's
+    edges. Only sizes are read, and a maximum matching's size does not
+    depend on where the search starts, so neither do D, A and C.
     """
     m = max_matching(g)
     nu = m.size
     mates = [-1] * g.n
     for u, w in m.edges:
         mates[u], mates[w] = w, u
-    d_set = {v for v in range(g.n) if max_matching(g, _without=(m, mates, v)).size == nu}
+    hubs = {y for x, w in enumerate(mates) if w == -1 for y in g.neighbors(x)}
+    d_set = {v for v in range(g.n)
+             if max_matching(g, _without=(m, mates, hubs, v)).size == nu}
     a_set = frozenset(u for v in d_set for u in g.neighbors(v)) - d_set
     d_comps = tuple(_components(g, d_set))
     return EGPartition(

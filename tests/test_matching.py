@@ -62,12 +62,15 @@ def structured_graph(rng, max_n=40):
 
 
 def first_matching(g):
-    """max_matching(g) and its mate list, as edmonds_gallai hands them on."""
+    """max_matching(g), its mate list and the neighbours of the vertices it
+    misses, as edmonds_gallai hands them on; read through has_edge, so a
+    masks graph keeps no rows."""
     m = max_matching(g)
     mates = [-1] * g.n
     for a, b in m.edges:
         mates[a], mates[b] = b, a
-    return m, mates
+    hubs = {y for x in range(g.n) if mates[x] == -1 for y in range(g.n) if g.has_edge(x, y)}
+    return m, mates, hubs
 
 
 def both_forms(g):
@@ -270,10 +273,10 @@ class TestMaxMatching:
         for _ in range(300):
             g = structured_graph(rng)
             for form in both_forms(g):
-                m, mates = first_matching(form)
+                m, mates, hubs = first_matching(form)
                 for v in range(g.n):
                     h = _isolate(g, v)
-                    warm = max_matching(form, _without=(m, mates, v))
+                    warm = max_matching(form, _without=(m, mates, hubs, v))
                     warm.validate(h)
                     assert v not in warm.vertices()
                     assert warm.size == max_matching(h).size
@@ -291,12 +294,12 @@ class TestMaxMatching:
         missed = 0
         for _ in range(300):
             for form in both_forms(structured_graph(rng)):
-                m, mates = first_matching(form)
+                m, mates, hubs = first_matching(form)
                 with monkeypatch.context() as patch:
                     patch.setattr(matching, "_find_augmenting_path", no_search)
                     for v in range(form.n):
                         if mates[v] == -1:
-                            assert max_matching(form, _without=(m, mates, v)) is m
+                            assert max_matching(form, _without=(m, mates, hubs, v)) is m
                             missed += 1
         assert missed > 1000
 
@@ -317,8 +320,8 @@ class TestMaxMatching:
         for _ in range(300):
             g = structured_graph(rng)
             for form in both_forms(g):
-                m, mates = first_matching(form)
-                given = mates.copy()
+                m, mates, hubs = first_matching(form)
+                given = mates.copy(), hubs.copy()
                 for v in range(g.n):
                     u = mates[v]
                     if u == -1:
@@ -326,11 +329,45 @@ class TestMaxMatching:
                     h = _isolate(g, v)
                     searched = any(mates[x] == -1 and h.neighbors(x) for x in range(g.n))
                     log.clear()
-                    max_matching(form, _without=(m, mates, v))
+                    max_matching(form, _without=(m, mates, hubs, v))
                     assert log == ([(u, [v])] if searched else [])
                     counts[len(log)] += 1
-                assert mates == given
+                assert (mates, hubs) == given
         assert min(counts.values()) > 1000
+
+    def test_no_search_or_a_failed_one_gives_m_less_uv(self, monkeypatch):
+        # with no search, or one that fails, the result is M less v's edge:
+        # the mate list with u and v cleared, edge for edge; mates and hubs
+        # are left as they were
+        ends = []
+        search = matching._find_augmenting_path
+
+        def spy(*args):
+            ends.append(search(*args))
+            return ends[-1]
+
+        monkeypatch.setattr(matching, "_find_augmenting_path", spy)
+        rng = random.Random(30)
+        counts = {"missed": 0, "none": 0, "failed": 0, "augmented": 0}
+        for _ in range(300):
+            for form in both_forms(structured_graph(rng)):
+                m, mates, hubs = first_matching(form)
+                given = mates.copy(), hubs.copy()
+                for v in range(form.n):
+                    ends.clear()
+                    warm = max_matching(form, _without=(m, mates, hubs, v))
+                    u = mates[v]
+                    kind = ("missed" if u == -1 else "none" if not ends
+                            else "failed" if ends == [-1] else "augmented")
+                    counts[kind] += 1
+                    if kind == "augmented":
+                        continue
+                    cleared = mates.copy()
+                    if u != -1:
+                        cleared[u] = cleared[v] = -1
+                    assert warm.edges == Matching._from_mates(cleared).edges
+                assert (mates, hubs) == given
+        assert min(counts.values()) > 1000, counts
 
     @pytest.mark.parametrize("n, edges, v, matched", [
         # the path 0-1-2: greedy matches 0-1 and leaves one exposed vertex
@@ -437,6 +474,28 @@ class TestEdmondsGallai:
         for _ in range(150):
             n = rng.randint(7, 12)
             check_eg(random_graph(rng, n, rng.choice([0.15, 0.25, 0.4])))
+
+    def test_disjoint_edges_build_no_matching_per_vertex(self, monkeypatch):
+        # n/2 disjoint edges: M is perfect, so hubs is empty, no G - v
+        # searches, and each gets M less v's edge as a slice; only the cold
+        # call builds a matching from a mate list
+        calls = {"from_mates": 0, "search": 0}
+        from_mates = Matching._from_mates.__func__
+
+        def count_from_mates(cls, match):
+            calls["from_mates"] += 1
+            return from_mates(cls, match)
+
+        def count_search(*args):
+            calls["search"] += 1
+            return -1
+
+        monkeypatch.setattr(Matching, "_from_mates", classmethod(count_from_mates))
+        monkeypatch.setattr(matching, "_find_augmenting_path", count_search)
+        n = 2000
+        part = edmonds_gallai(Graph(n, [(v, v + 1) for v in range(0, n, 2)]))
+        assert (part.nu, part.deficiency, part.D, part.A) == (n // 2, 0, (), frozenset())
+        assert calls == {"from_mates": 1, "search": 0}
 
     def test_json_dict(self):
         part = edmonds_gallai(Graph(3, [(0, 1), (1, 2)]))
